@@ -279,8 +279,7 @@ int run_serve_cli(const util::Args& args) {
   }
   cfg.duration = args.get_u64("duration-ms", cfg.duration / 1'000'000) * 1'000'000;
   cfg.max_requests = args.get_u64("max-requests", cfg.max_requests);
-  cfg.admit_limit =
-      static_cast<unsigned>(args.get_u64("admit-limit", cfg.admit_limit));
+  cfg.admit_limit = args.get_unsigned("admit-limit", cfg.admit_limit);
   cfg.overcommit = args.get_double("overcommit", cfg.overcommit);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
 
@@ -317,9 +316,8 @@ int run_serve_cli(const util::Args& args) {
     points.push_back(std::move(pt));
   } else {
     const double overcommits[] = {cfg.overcommit};
-    points = serve::run_serve_sweep(
-        cfg, overcommits, policies,
-        static_cast<unsigned>(args.get_u64("jobs", 0)));
+    points = serve::run_serve_sweep(cfg, overcommits, policies,
+                                    args.get_unsigned("jobs", 0));
   }
   for (const serve::ServePoint& pt : points) print_serve_point(pt);
 
@@ -465,12 +463,12 @@ int run_cli(int argc, char** argv) {
   core::ExperimentConfig cfg;
   cfg.sim.seed = args.get_u64("seed", cfg.sim.seed);
   cfg.sim.va_prefetch.degree =
-      static_cast<unsigned>(args.get_u64("degree", cfg.sim.va_prefetch.degree));
+      args.get_unsigned("degree", cfg.sim.va_prefetch.degree);
   cfg.sim.ull.read_latency = args.get_u64("media-us", 3) * 1000;
   cfg.sim.ull.write_latency = cfg.sim.ull.read_latency;
   cfg.sim.ctx_switch_cost = args.get_u64("ctx-us", 7) * 1000;
   cfg.gen.length_scale = args.get_double("length-scale", 1.0);
-  cfg.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
+  cfg.jobs = args.get_unsigned("jobs", 0);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
   std::string sched = args.get_string("scheduler", "rr");
   if (sched == "cfs") {

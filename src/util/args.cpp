@@ -1,6 +1,8 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <cctype>
+#include <limits>
 #include <stdexcept>
 
 namespace its::util {
@@ -42,6 +44,9 @@ std::uint64_t Args::get_u64(std::string_view name, std::uint64_t def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
   try {
+    // std::stoull skips whitespace and wraps "-1" to 2^64-1: require a digit.
+    if (std::isdigit(static_cast<unsigned char>(v->front())) == 0)
+      throw std::invalid_argument("not a digit");
     std::size_t pos = 0;
     std::uint64_t out = std::stoull(*v, &pos);
     if (pos != v->size()) throw std::invalid_argument("trailing characters");
@@ -49,6 +54,14 @@ std::uint64_t Args::get_u64(std::string_view name, std::uint64_t def) const {
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + std::string(name) + ": not an integer: " + *v);
   }
+}
+
+unsigned Args::get_unsigned(std::string_view name, unsigned def) const {
+  std::uint64_t v = get_u64(name, def);
+  if (v > std::numeric_limits<unsigned>::max())
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": out of range: " + *get(name));
+  return static_cast<unsigned>(v);
 }
 
 double Args::get_double(std::string_view name, double def) const {

@@ -1,6 +1,6 @@
-// det-rand fixture, farm flavour: entropy in steal-victim selection or
+// det-rand fixture, farm flavour: entropy in worker selection or
 // sweep-start shuffling breaks the run farm's bit-identical contract
-// (src/farm/ sweeps victims in a fixed ring order instead).
+// (src/farm/ hands out task indices from one shared counter instead).
 #include <cstddef>
 #include <random>
 

@@ -12,12 +12,22 @@
 namespace its::core {
 namespace {
 
+// gtest prints a parameter without operator<< as its raw bytes, and ctest
+// discovery bakes that text into the test names. The padding is therefore
+// spelled out as zeroed members: implicit padding holds whatever the heap
+// held, which made the names differ from one build to the next.
 struct Combo {
+  Combo(PolicyKind p, SchedulerKind s, std::uint64_t sd, unsigned c)
+      : policy(p), scheduler(s), seed(sd), cluster(c) {}
+
   PolicyKind policy;
   SchedulerKind scheduler;
+  std::uint8_t pad0[6]{};
   std::uint64_t seed;
   unsigned cluster;
+  std::uint32_t pad1{};
 };
+static_assert(sizeof(Combo) == 24, "Combo must have no implicit padding");
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   std::string s{policy_name(info.param.policy)};

@@ -129,6 +129,34 @@ TEST(Args, EntirelyNonNumericThrowsInvalidArgument) {
   EXPECT_THROW(c.get_u64("n", 0), std::invalid_argument);
 }
 
+TEST(Args, NegativeOrSpacedIntegerIsRejected) {
+  // std::stoull would wrap "-1" to 2^64-1 and skip leading whitespace.
+  for (const char* v : {"--jobs=-1", "--jobs= 3", "--jobs=+3"}) {
+    auto a = make_args({v});
+    try {
+      a.get_u64("jobs", 0);
+      FAIL() << v << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos) << v;
+    }
+    EXPECT_THROW(a.get_unsigned("jobs", 0), std::invalid_argument) << v;
+  }
+}
+
+TEST(Args, UnsignedGetterRejectsValuesAboveUintMax) {
+  auto a = make_args({"--jobs=4294967297"});
+  EXPECT_EQ(a.get_u64("jobs", 0), 4294967297u);
+  try {
+    a.get_unsigned("jobs", 0);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos);
+  }
+  EXPECT_EQ(make_args({"--jobs=4294967295"}).get_unsigned("jobs", 0),
+            4294967295u);
+  EXPECT_EQ(make_args({}).get_unsigned("jobs", 7), 7u);
+}
+
 TEST(Args, UnknownFlagDetection) {
   auto a = make_args({"--good=1", "--typo=2"});
   auto unknown = a.unknown({"good"});

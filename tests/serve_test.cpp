@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -375,14 +376,21 @@ TEST(ServeInvariants, CheckerRejectsSloViolationWithinSlo) {
 // its_cli --slo-p99 gate: exit code 6 on breach, 0 when the gate holds.
 
 #ifdef ITS_CLI_BIN
-int run_cli(const std::string& flags) {
+/// Exit status of one serve-scenario its_cli run; its stderr lands in `err`.
+int run_cli(const std::string& flags, std::string* err = nullptr) {
   // Pin the fault profile so a hostile CI environment cannot turn the gate
   // exit into an outage exit (codes 4/5).
   std::string cmd = std::string("ITS_FAULT_PROFILE=none \"") + ITS_CLI_BIN +
                     "\" --scenario=serve --policy=ITS --duration-ms=5 "
                     "--arrival-rate=1000 --admit-limit=8 " +
-                    flags + " > /dev/null 2>&1";
-  int rc = std::system(cmd.c_str());
+                    flags + " 2>&1 > /dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  int rc = pclose(pipe);
+  if (err != nullptr) *err = out;
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
 }
@@ -394,6 +402,14 @@ TEST(ServeCli, SloGateBreachExitsSix) {
 
 TEST(ServeCli, SloGateHoldsExitsZero) {
   EXPECT_EQ(run_cli("--slo-p99=1000000000000"), 0);
+}
+
+TEST(ServeCli, NegativeOrOversizedJobsIsAUsageErrorNamingTheFlag) {
+  for (const char* jobs : {"--jobs=-1", "--jobs=4294967297"}) {
+    std::string err;
+    EXPECT_EQ(run_cli(jobs, &err), 2) << jobs;
+    EXPECT_NE(err.find("--jobs"), std::string::npos) << jobs << ": " << err;
+  }
 }
 #endif  // ITS_CLI_BIN
 

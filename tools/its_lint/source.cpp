@@ -60,21 +60,6 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"arch-dead-api",
      "symbol declared in a module's public header but referenced by no "
      "other file in src/, tests/, tools/, examples/ or bench/"},
-    {"conc-guarded",
-     "class owns a mutex but a mutable non-atomic member lacks "
-     "GUARDED_BY(...) (util/thread_annotations.h)"},
-    {"conc-lock-order",
-     "cycle in the cross-file lock-acquisition-order graph (deadlock; "
-     "full cycle path reported, graph committed as docs/locks.dot)"},
-    {"conc-atomic-order",
-     "std::atomic access without an explicit memory_order (implicit "
-     "seq_cst hides the intended ordering; farm.cpp is the exemplar)"},
-    {"conc-shared-static",
-     "mutable namespace-scope or function-local static state — shared "
-     "across farm workers once the SMP refactor lands"},
-    {"conc-false-share",
-     "adjacent synchronization members without alignas separation "
-     "(util::kDestructiveInterferenceSize) — false-sharing hot spot"},
     {"units-mixed-arith",
      "arithmetic/comparison mixing quantity dimensions (SimTime + SimTime, "
      "time vs bytes/pages/addresses) — see the algebra in util/types.h"},
