@@ -11,7 +11,7 @@
 // --fault-seed=<n>  --fault-outage=<k=v,...>  --jobs=<n>  --list
 //
 // The open-loop serving scenario (docs/serving.md) rides the same binary:
-//   its_cli --scenario=serve --policy=ITS --arrival-rate=40000 \
+//   its_cli --scenario=serve --policy=ITS --arrival-rate=40000
 //           --duration-ms=40 --overcommit=2 --slo-p99=8000000
 // with --arrival-model=poisson|mmpp  --admit-limit=<n>  --max-requests=<n>
 // --burst-mult=<f>  --burst-fraction=<f> shaping the stream.
@@ -21,7 +21,9 @@
 // profile or outage spec, 5 unrecoverable outage (the device died and a
 // page was lost past the fallback pool — docs/robustness.md), 6 SLO gate
 // failed (--slo-p99 given and a run's aggregate p99 exceeded it).
+#include <cmath>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,27 @@ constexpr int kInputError = 3;
 constexpr int kBadFaultProfile = 4;
 constexpr int kUnrecoverableOutage = 5;
 constexpr int kSloGateFailed = 6;
+
+/// `--name` (default `def`) times `unit`, rejected as a usage error when the
+/// product does not fit 64 bits instead of silently wrapping.
+std::uint64_t get_scaled_u64(const util::Args& args, std::string_view name,
+                             std::uint64_t def, std::uint64_t unit) {
+  const std::uint64_t v = args.get_u64(name, def);
+  if (its::mul_overflows(v, unit))
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": too large: " + args.get_string(name, ""));
+  return v * unit;
+}
+
+/// `--name` (default `def`), which must be finite and inside (lo, hi).
+double get_double_in(const util::Args& args, std::string_view name, double def,
+                     double lo, double hi) {
+  const double v = args.get_double(name, def);
+  if (!std::isfinite(v) || v <= lo || v >= hi)
+    throw std::invalid_argument("--" + std::string(name) + ": out of range: " +
+                                args.get_string(name, ""));
+  return v;
+}
 
 int list_everything() {
   std::cout << "batches:\n";
@@ -263,12 +286,12 @@ int run_serve_cli(const util::Args& args) {
   serve::ServeConfig cfg;
   cfg.arrivals.seed = args.get_u64("seed", cfg.arrivals.seed);
   cfg.sim.seed = cfg.arrivals.seed;
-  cfg.arrivals.rate_rps =
-      args.get_double("arrival-rate", cfg.arrivals.rate_rps);
-  cfg.arrivals.burst_rate_mult =
-      args.get_double("burst-mult", cfg.arrivals.burst_rate_mult);
-  cfg.arrivals.burst_fraction =
-      args.get_double("burst-fraction", cfg.arrivals.burst_fraction);
+  cfg.arrivals.rate_rps = get_double_in(args, "arrival-rate",
+                                        cfg.arrivals.rate_rps, 0.0, HUGE_VAL);
+  cfg.arrivals.burst_rate_mult = get_double_in(
+      args, "burst-mult", cfg.arrivals.burst_rate_mult, 0.0, HUGE_VAL);
+  cfg.arrivals.burst_fraction = get_double_in(
+      args, "burst-fraction", cfg.arrivals.burst_fraction, 0.0, 1.0);
   if (auto name = args.get("arrival-model")) {
     auto m = serve::find_arrival_model(*name);
     if (!m) {
@@ -277,10 +300,12 @@ int run_serve_cli(const util::Args& args) {
     }
     cfg.arrivals.model = *m;
   }
-  cfg.duration = args.get_u64("duration-ms", cfg.duration / 1'000'000) * 1'000'000;
+  cfg.duration = get_scaled_u64(args, "duration-ms", cfg.duration / 1'000'000,
+                                1'000'000);
   cfg.max_requests = args.get_u64("max-requests", cfg.max_requests);
   cfg.admit_limit = args.get_unsigned("admit-limit", cfg.admit_limit);
-  cfg.overcommit = args.get_double("overcommit", cfg.overcommit);
+  cfg.overcommit =
+      get_double_in(args, "overcommit", cfg.overcommit, 0.0, HUGE_VAL);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
 
   const std::string policy = args.get_string("policy", "all");
@@ -432,7 +457,7 @@ int run_cli(int argc, char** argv) {
               << t.stats().footprint_pages << " pages touched\n\n";
     core::SimConfig cfg;
     cfg.seed = args.get_u64("seed", cfg.seed);
-    cfg.dram_bytes = args.get_u64("dram-mb", 64) << 20;
+    cfg.dram_bytes = get_scaled_u64(args, "dram-mb", 64, 1_MiB);
     if (int rc = apply_fault_flags(args, cfg.fault); rc != 0) return rc;
     std::string pol = args.get_string("policy", "Sync");
     for (auto k : core::kAllPolicies) {
@@ -464,10 +489,11 @@ int run_cli(int argc, char** argv) {
   cfg.sim.seed = args.get_u64("seed", cfg.sim.seed);
   cfg.sim.va_prefetch.degree =
       args.get_unsigned("degree", cfg.sim.va_prefetch.degree);
-  cfg.sim.ull.read_latency = args.get_u64("media-us", 3) * 1000;
+  cfg.sim.ull.read_latency = get_scaled_u64(args, "media-us", 3, 1000);
   cfg.sim.ull.write_latency = cfg.sim.ull.read_latency;
-  cfg.sim.ctx_switch_cost = args.get_u64("ctx-us", 7) * 1000;
-  cfg.gen.length_scale = args.get_double("length-scale", 1.0);
+  cfg.sim.ctx_switch_cost = get_scaled_u64(args, "ctx-us", 7, 1000);
+  cfg.gen.length_scale =
+      get_double_in(args, "length-scale", 1.0, 0.0, HUGE_VAL);
   cfg.jobs = args.get_unsigned("jobs", 0);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
   std::string sched = args.get_string("scheduler", "rr");

@@ -24,7 +24,7 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg) {
   }
 }
 
-bool SetAssocCache::access(its::VirtAddr addr) {
+bool SetAssocCache::access(its::PhysAddr addr) {
   std::uint64_t line = line_of(addr);
   unsigned set = set_index(line);
   std::uint64_t tag = tag_of(line);
@@ -55,7 +55,7 @@ bool SetAssocCache::access(its::VirtAddr addr) {
   return false;
 }
 
-bool SetAssocCache::probe(its::VirtAddr addr) const {
+bool SetAssocCache::probe(its::PhysAddr addr) const {
   std::uint64_t line = line_of(addr);
   unsigned set = set_index(line);
   std::uint64_t tag = tag_of(line);
@@ -65,7 +65,7 @@ bool SetAssocCache::probe(its::VirtAddr addr) const {
   return false;
 }
 
-void SetAssocCache::fill(its::VirtAddr addr) {
+void SetAssocCache::fill(its::PhysAddr addr) {
   std::uint64_t line = line_of(addr);
   unsigned set = set_index(line);
   std::uint64_t tag = tag_of(line);
@@ -108,11 +108,11 @@ bool SetAssocCache::invalidate_line(std::uint64_t line) {
   return false;
 }
 
-bool SetAssocCache::invalidate(its::VirtAddr addr) {
+bool SetAssocCache::invalidate(its::PhysAddr addr) {
   return invalidate_line(line_of(addr));
 }
 
-void SetAssocCache::invalidate_range(std::uint64_t base, std::uint64_t len) {
+void SetAssocCache::invalidate_range(its::PhysAddr base, its::Bytes len) {
   if (len == 0) return;
   const std::uint64_t first = line_of(base);
   const std::uint64_t last = line_of(base + len - 1);

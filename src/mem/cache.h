@@ -38,20 +38,20 @@ class SetAssocCache {
 
   /// Looks up `addr`; on miss, inserts the line (allocate-on-miss for both
   /// reads and writes).  Returns true on hit.
-  bool access(its::VirtAddr addr);
+  bool access(its::PhysAddr addr);
 
   /// Lookup without side effects.
-  bool probe(its::VirtAddr addr) const;
+  bool probe(its::PhysAddr addr) const;
 
   /// Inserts the line without counting a hit or miss (used by pre-execute /
   /// prefetch warming paths).
-  void fill(its::VirtAddr addr);
+  void fill(its::PhysAddr addr);
 
   /// Drops one line if present; returns whether it was present.
-  bool invalidate(its::VirtAddr addr);
+  bool invalidate(its::PhysAddr addr);
 
   /// Drops all lines in [base, base+len).
-  void invalidate_range(std::uint64_t base, std::uint64_t len);
+  void invalidate_range(its::PhysAddr base, its::Bytes len);
 
   void invalidate_all();
 
@@ -74,7 +74,7 @@ class SetAssocCache {
   // divide by a runtime divisor costs more than the whole way scan.  The
   // ctor precomputes shift/mask forms; the modulo fallback only runs for
   // non-power-of-two set counts, which no shipped config uses.
-  std::uint64_t line_of(its::VirtAddr addr) const {
+  std::uint64_t line_of(its::PhysAddr addr) const {
     return addr >> line_shift_;
   }
   unsigned set_index(std::uint64_t line) const {

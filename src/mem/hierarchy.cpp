@@ -3,6 +3,7 @@
 #include "util/types.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace its::mem {
 
@@ -29,10 +30,10 @@ AccessResult CacheHierarchy::access_line(its::PhysAddr addr) {
 
 AccessResult CacheHierarchy::access(its::PhysAddr addr, unsigned size) {
   unsigned line = cfg_.l1.line_size;
-  its::PhysAddr first = addr / line;
-  its::PhysAddr last = (addr + (size ? size - 1 : 0)) / line;
+  std::uint64_t first = addr / line;
+  std::uint64_t last = (addr + (size ? size - 1 : 0)) / line;
   AccessResult r = access_line(addr);
-  for (its::PhysAddr l = first + 1; l <= last; ++l) {
+  for (std::uint64_t l = first + 1; l <= last; ++l) {
     AccessResult r2 = access_line(l * line);
     // Split accesses proceed in parallel on a real core; charge the slower.
     if (r2.latency > r.latency) r = r2;
@@ -42,9 +43,9 @@ AccessResult CacheHierarchy::access(its::PhysAddr addr, unsigned size) {
 
 void CacheHierarchy::warm(its::PhysAddr addr, unsigned size) {
   unsigned line = cfg_.l1.line_size;
-  its::PhysAddr first = addr / line;
-  its::PhysAddr last = (addr + (size ? size - 1 : 0)) / line;
-  for (its::PhysAddr l = first; l <= last; ++l) {
+  std::uint64_t first = addr / line;
+  std::uint64_t last = (addr + (size ? size - 1 : 0)) / line;
+  for (std::uint64_t l = first; l <= last; ++l) {
     its::PhysAddr a = l * line;
     llc_.fill(a);
     l2_.fill(a);

@@ -373,17 +373,16 @@ TEST(ServeInvariants, CheckerRejectsSloViolationWithinSlo) {
 }
 
 // ---------------------------------------------------------------------------
-// its_cli --slo-p99 gate: exit code 6 on breach, 0 when the gate holds.
+// its_cli exit codes: 6 when the --slo-p99 gate breaks, 0 when it holds,
+// and 2 (usage) for a flag value rejected before any simulation starts.
 
 #ifdef ITS_CLI_BIN
-/// Exit status of one serve-scenario its_cli run; its stderr lands in `err`.
-int run_cli(const std::string& flags, std::string* err = nullptr) {
+/// Exit status of one its_cli run with `flags`; its stderr lands in `err`.
+int run_its_cli(const std::string& flags, std::string* err = nullptr) {
   // Pin the fault profile so a hostile CI environment cannot turn the gate
   // exit into an outage exit (codes 4/5).
   std::string cmd = std::string("ITS_FAULT_PROFILE=none \"") + ITS_CLI_BIN +
-                    "\" --scenario=serve --policy=ITS --duration-ms=5 "
-                    "--arrival-rate=1000 --admit-limit=8 " +
-                    flags + " 2>&1 > /dev/null";
+                    "\" " + flags + " 2>&1 > /dev/null";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return -1;
   std::string out;
@@ -393,6 +392,32 @@ int run_cli(const std::string& flags, std::string* err = nullptr) {
   if (err != nullptr) *err = out;
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
+}
+
+/// A short serve-scenario run.  `flags` come first, so they override the
+/// defaults after them (util::Args returns a flag's first value).
+int run_cli(const std::string& flags, std::string* err = nullptr) {
+  return run_its_cli(flags +
+                         " --scenario=serve --policy=ITS --duration-ms=5 "
+                         "--arrival-rate=1000 --admit-limit=8",
+                     err);
+}
+
+/// A short batch run of one policy; `flags` override as in run_cli.
+int run_batch_cli(const std::string& flags, std::string* err = nullptr) {
+  return run_its_cli(flags + " --policy=Sync --length-scale=0.01", err);
+}
+
+/// Every `--flag=value` must be a usage error whose message names the flag.
+template <typename Run>
+void expect_usage_error(Run run, const std::string& flag,
+                        std::initializer_list<const char*> values) {
+  for (const char* v : values) {
+    const std::string arg = "--" + flag + "=" + v;
+    std::string err;
+    EXPECT_EQ(run(arg, &err), 2) << arg << ": " << err;
+    EXPECT_NE(err.find("--" + flag), std::string::npos) << arg << ": " << err;
+  }
 }
 
 TEST(ServeCli, SloGateBreachExitsSix) {
@@ -405,11 +430,58 @@ TEST(ServeCli, SloGateHoldsExitsZero) {
 }
 
 TEST(ServeCli, NegativeOrOversizedJobsIsAUsageErrorNamingTheFlag) {
-  for (const char* jobs : {"--jobs=-1", "--jobs=4294967297"}) {
-    std::string err;
-    EXPECT_EQ(run_cli(jobs, &err), 2) << jobs;
-    EXPECT_NE(err.find("--jobs"), std::string::npos) << jobs << ": " << err;
+  expect_usage_error(run_cli, "jobs", {"-1", "4294967297"});
+}
+
+// Unit-scaled integer flags: the scaled value must fit 64 bits, not wrap
+// (18446744073709552 us * 1000 wraps to 384 ns; 2^44 + 1 MiB to 1 MiB).
+
+TEST(ServeCli, DurationMsOverflowingNanosecondsIsAUsageError) {
+  expect_usage_error(run_cli, "duration-ms", {"18446744073710"});
+}
+
+TEST(BatchCli, MediaUsOverflowingNanosecondsIsAUsageError) {
+  expect_usage_error(run_batch_cli, "media-us", {"18446744073709552"});
+}
+
+TEST(BatchCli, CtxUsOverflowingNanosecondsIsAUsageError) {
+  expect_usage_error(run_batch_cli, "ctx-us", {"18446744073709552"});
+}
+
+TEST(TraceCli, DramMbOverflowingBytesIsAUsageError) {
+  const std::string path = testing::TempDir() + "its_cli_dram_mb.lk";
+  {
+    std::ofstream f(path);
+    for (int i = 0; i < 64; ++i) f << " L " << std::hex << 0x1000 + i * 64 << ",8\n";
   }
+  auto run = [&](const std::string& flags, std::string* err) {
+    return run_its_cli(flags + " --trace=" + path + " --policy=Sync", err);
+  };
+  expect_usage_error(run, "dram-mb", {"17592186044417"});
+  std::remove(path.c_str());
+}
+
+// Floating-point flags must be finite and in range before anything runs;
+// a NaN or negative value must not reach the simulator or be clamped.
+
+TEST(BatchCli, NonPositiveOrNonFiniteLengthScaleIsAUsageError) {
+  expect_usage_error(run_batch_cli, "length-scale", {"-1", "nan", "0", "inf"});
+}
+
+TEST(ServeCli, NonPositiveOrNonFiniteArrivalRateIsAUsageError) {
+  expect_usage_error(run_cli, "arrival-rate", {"-5", "0", "nan", "inf"});
+}
+
+TEST(ServeCli, NonPositiveOrNonFiniteOvercommitIsAUsageError) {
+  expect_usage_error(run_cli, "overcommit", {"nan", "0", "-1", "inf"});
+}
+
+TEST(ServeCli, BurstFractionOutsideTheOpenUnitIntervalIsAUsageError) {
+  expect_usage_error(run_cli, "burst-fraction", {"2", "0", "1", "-0.5", "nan"});
+}
+
+TEST(ServeCli, NonPositiveOrNonFiniteBurstMultIsAUsageError) {
+  expect_usage_error(run_cli, "burst-mult", {"0", "-1", "nan", "inf"});
 }
 #endif  // ITS_CLI_BIN
 
