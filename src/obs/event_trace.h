@@ -17,65 +17,112 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 #include <vector>
 
 namespace its::obs {
 
-enum class EventKind : std::uint8_t {
-  kFaultBegin,     ///< Major fault entered the handler.        a=vpn b=device health at entry
-  kFaultEnd,       ///< Fault resolved (page mapped).           a=vpn b=busy-wait window c=stolen
-  kFileWait,       ///< Sync wait on a page-cache page.         a=page key b=wait c=stolen
-  kPrefetchIssue,  ///< Page posted to DMA by a prefetcher.     a=vpn/key b=source (PrefetchSource)
-  kPrefetchHit,    ///< Minor fault consumed a prefetched page. a=vpn
-  kPreexecBegin,   ///< Pre-execute episode started.            a=pc
-  kPreexecEnd,     ///< Episode ended.                          a=pc b=used ns c=stolen credit
-  kCtxSwitch,      ///< Context switch charged.                 b=cost ns
-  kAsyncConvert,   ///< Fault converted to asynchronous mode.   a=vpn/key
-  kDmaComplete,    ///< DMA transfer completion (device pid).   a=bytes b=issue time c=direction
-  kSchedPick,      ///< Scheduler dispatched the process.
-  kSchedBlock,     ///< Process blocked on I/O.
-  kSchedWake,      ///< Blocked process became runnable.
-  kEvict,          ///< Frame reclaimed under pressure.         a=pfn b=vpn
-  kSwapIn,         ///< Swap slot read back from the device.    a=vpn
-  kSwapOut,        ///< Swap slot written to the device.        a=vpn
-  kPrefetchWalk,   ///< Prefetcher candidate walk.              a=victim b=slots examined c=walk ns
-  // Fault-injection resilience (see fault/fault_injector.h).  IoError and
-  // IoRetry live on the device timeline (kDevicePid) and are stamped with
-  // the future detection/repost time, like kDmaComplete.
-  kIoError,        ///< Demand read attempt failed.             a=vpn/key b=attempt c=direction
-  kIoRetry,        ///< Failed attempt reposted after backoff.  a=vpn/key b=attempt c=backoff ns
-  kDeadlineAbort,  ///< Watchdog aborted a sync busy-wait.      a=vpn b=waited window c=stolen
-  kModeFallback,   ///< Aborted fault fell back to async mode.  a=vpn b=remaining (background) ns
-  // Device-outage resilience (storage/device_health.h, vm/fallback_pool.h).
-  // HealthTransition lives on the device timeline (kDevicePid); the pool
-  // events carry the owning process.
-  kHealthTransition, ///< Health FSM edge taken.                a=from b=to (DeviceHealth)
-  kPoolStore,      ///< Page compressed into the fallback pool. a=vpn b=compress ns
-  kPoolLoad,       ///< Demand read served from the pool.       a=vpn b=decompress ns
-  kPoolDrain,      ///< Pooled page written back on recovery.   a=vpn b=bytes
-  // Open-loop serving lifecycle (serve/scenario.h).  Every request event
-  // carries the request id in `a`; Arrive/Admit are stamped at the arrival
-  // instant, Done at retirement with the reconciled latency, and a
-  // SloViolation immediately follows the Done it indicts.
-  kRequestArrive,  ///< Open-loop request arrived.              a=req id b=tier
-  kRequestAdmit,   ///< Request admitted (process spawned).     a=req id b=tier
-  kRequestDone,    ///< Request retired.                        a=req id b=latency ns c=tier
-  kSloViolation,   ///< Retired request broke its tier SLO.     a=req id b=latency ns c=slo ns
+/// Chrome trace_event phase a kind renders as (obs/trace_json.h): paired
+/// B/E slices for the fault and pre-execute windows, complete (X) slices
+/// for windows recorded at their end with a duration in `b`, and
+/// thread-scoped instants for the point-in-time markers.
+enum class Phase : std::uint8_t { kBegin, kEnd, kComplete, kInstant };
+
+/// Which timeline an event lives on — decides which ordering invariants
+/// the checker applies to it (obs/invariant_checker.h).
+enum class Timeline : std::uint8_t {
+  kProcess,           ///< per-pid append order + makespan bound
+  kDeviceCompletion,  ///< stamped with the (future) completion; ts >= issue
+  kDeviceRetry,       ///< future detection/repost stamp; exempt from both
+                      ///< (a prefetched read may still be erroring out
+                      ///< after the last process finished)
 };
 
-/// Derived from the lexically-last enumerator so adding a kind cannot leave
-/// the count stale; the static_assert is the tripwire a reviewer sees when
-/// the enum grows (update it together with kind_name(), the Chrome-trace
-/// mapping in trace_json.cpp, and the invariant checker — its_lint's
-/// registry rules enforce all four).
-inline constexpr std::size_t kNumEventKinds =
-    static_cast<std::size_t>(EventKind::kSloViolation) + 1;
-static_assert(kNumEventKinds == 29,
-              "EventKind grew: extend kind_name(), trace_json.cpp, and "
-              "invariant_checker.cpp, then bump this count");
+/// The one list of event kinds, in enumerator order (the values are part
+/// of the recorded format: digests and goldens depend on them).  Each row
+/// is X(enumerator, name, Chrome slice name, Phase, Timeline) and its
+/// trailing comment is the operand legend.  Adding a kind is adding a
+/// row; a row that leaves out a column does not compile.
+#define ITS_EVENT_KINDS(X)                                                                                                                                               \
+  X(kFaultBegin, "fault_begin", "fault", kBegin, kProcess)                            /* Major fault entered the handler.        a=vpn b=device health at entry */       \
+  X(kFaultEnd, "fault_end", "fault", kEnd, kProcess)                                  /* Fault resolved (page mapped).           a=vpn b=busy-wait window c=stolen */    \
+  X(kFileWait, "file_wait", "file_wait", kComplete, kProcess)                         /* Sync wait on a page-cache page.         a=page key b=wait c=stolen */           \
+  X(kPrefetchIssue, "prefetch_issue", "prefetch_issue", kInstant, kProcess)           /* Page posted to DMA by a prefetcher.     a=vpn/key b=source (PrefetchSource) */  \
+  X(kPrefetchHit, "prefetch_hit", "prefetch_hit", kInstant, kProcess)                 /* Minor fault consumed a prefetched page. a=vpn */                                \
+  X(kPreexecBegin, "preexec_begin", "preexec", kBegin, kProcess)                      /* Pre-execute episode started.            a=pc */                                 \
+  X(kPreexecEnd, "preexec_end", "preexec", kEnd, kProcess)                            /* Episode ended.                          a=pc b=used ns c=stolen credit */       \
+  X(kCtxSwitch, "ctx_switch", "ctx_switch", kComplete, kProcess)                      /* Context switch charged.                 b=cost ns */                            \
+  X(kAsyncConvert, "async_convert", "async_convert", kInstant, kProcess)              /* Fault converted to asynchronous mode.   a=vpn/key */                            \
+  X(kDmaComplete, "dma_complete", "dma_complete", kInstant, kDeviceCompletion)        /* DMA transfer completion (device pid).   a=bytes b=issue time c=direction */     \
+  X(kSchedPick, "sched_pick", "sched_pick", kInstant, kProcess)                       /* Scheduler dispatched the process. */                                            \
+  X(kSchedBlock, "sched_block", "sched_block", kInstant, kProcess)                    /* Process blocked on I/O. */                                                      \
+  X(kSchedWake, "sched_wake", "sched_wake", kInstant, kProcess)                       /* Blocked process became runnable. */                                             \
+  X(kEvict, "evict", "evict", kInstant, kProcess)                                     /* Frame reclaimed under pressure.         a=pfn b=vpn */                          \
+  X(kSwapIn, "swap_in", "swap_in", kInstant, kProcess)                                /* Swap slot read back from the device.    a=vpn */                                \
+  X(kSwapOut, "swap_out", "swap_out", kInstant, kProcess)                             /* Swap slot written to the device.        a=vpn */                                \
+  X(kPrefetchWalk, "prefetch_walk", "prefetch_walk", kInstant, kProcess)              /* Prefetcher candidate walk.              a=victim b=slots examined c=walk ns */  \
+  /* Fault-injection resilience (see fault/fault_injector.h).  IoError and */                                                                                            \
+  /* IoRetry live on the device timeline (kDevicePid) and are stamped with */                                                                                            \
+  /* the future detection/repost time, like kDmaComplete. */                                                                                                             \
+  X(kIoError, "io_error", "io_error", kInstant, kDeviceRetry)                         /* Demand read attempt failed.             a=vpn/key b=attempt c=direction */      \
+  X(kIoRetry, "io_retry", "io_retry", kInstant, kDeviceRetry)                         /* Failed attempt reposted after backoff.  a=vpn/key b=attempt c=backoff ns */     \
+  X(kDeadlineAbort, "deadline_abort", "deadline_abort", kInstant, kProcess)           /* Watchdog aborted a sync busy-wait.      a=vpn b=waited window c=stolen */       \
+  X(kModeFallback, "mode_fallback", "mode_fallback", kInstant, kProcess)              /* Aborted fault fell back to async mode.  a=vpn b=remaining (background) ns */    \
+  /* Device-outage resilience (storage/device_health.h, vm/fallback_pool.h). */                                                                                          \
+  /* HealthTransition lives on the device timeline (kDevicePid); the pool */                                                                                             \
+  /* events carry the owning process. */                                                                                                                                 \
+  X(kHealthTransition, "health_transition", "health_transition", kInstant, kProcess)  /* Health FSM edge taken.                  a=from b=to (DeviceHealth) */           \
+  X(kPoolStore, "pool_store", "pool_store", kInstant, kProcess)                       /* Page compressed into the fallback pool. a=vpn b=compress ns */                  \
+  X(kPoolLoad, "pool_load", "pool_load", kInstant, kProcess)                          /* Demand read served from the pool.       a=vpn b=decompress ns */                \
+  X(kPoolDrain, "pool_drain", "pool_drain", kInstant, kProcess)                       /* Pooled page written back on recovery.   a=vpn b=bytes */                        \
+  /* Open-loop serving lifecycle (serve/scenario.h).  Every request event */                                                                                             \
+  /* carries the request id in `a`; Arrive/Admit are stamped at the arrival */                                                                                           \
+  /* instant, Done at retirement with the reconciled latency (a complete */                                                                                              \
+  /* slice spanning arrival to done), and a SloViolation immediately follows */                                                                                          \
+  /* the Done it indicts. */                                                                                                                                             \
+  X(kRequestArrive, "request_arrive", "request_arrive", kInstant, kProcess)           /* Open-loop request arrived.              a=req id b=tier */                      \
+  X(kRequestAdmit, "request_admit", "request_admit", kInstant, kProcess)              /* Request admitted (process spawned).     a=req id b=tier */                      \
+  X(kRequestDone, "request_done", "request_done", kComplete, kProcess)                /* Request retired.                        a=req id b=latency ns c=tier */         \
+  X(kSloViolation, "slo_violation", "slo_violation", kInstant, kProcess)              /* Retired request broke its tier SLO.     a=req id b=latency ns c=slo ns */
 
-std::string_view kind_name(EventKind k);
+enum class EventKind : std::uint8_t {
+#define ITS_EVENT_KIND_ENUMERATOR(kind, name, slice, phase, timeline) kind,
+  ITS_EVENT_KINDS(ITS_EVENT_KIND_ENUMERATOR)
+#undef ITS_EVENT_KIND_ENUMERATOR
+};
+
+/// Everything the exporter and the checker need to know about one kind.
+struct EventKindInfo {
+  std::string_view name;   ///< Stable snake_case name (kind_name).
+  std::string_view slice;  ///< Chrome slice the event renders under.
+  Phase phase;
+  Timeline timeline;
+};
+
+inline constexpr EventKindInfo kEventKindInfo[] = {
+#define ITS_EVENT_KIND_INFO(kind, name, slice, phase, timeline) \
+  {name, slice, Phase::phase, Timeline::timeline},
+    ITS_EVENT_KINDS(ITS_EVENT_KIND_INFO)
+#undef ITS_EVENT_KIND_INFO
+};
+
+inline constexpr std::size_t kNumEventKinds = std::size(kEventKindInfo);
+
+/// What a byte outside the table (a corrupted or version-skewed trace)
+/// reads as: an "unknown" instant on the process timeline.  The checker
+/// reports such events before it looks at their timeline.
+inline constexpr EventKindInfo kUnknownEventKind{"unknown", "unknown",
+                                                 Phase::kInstant,
+                                                 Timeline::kProcess};
+
+/// Row of `k`; the bound is checked before the table is indexed.
+constexpr const EventKindInfo& kind_info(EventKind k) {
+  const auto i = static_cast<std::size_t>(k);
+  return i < kNumEventKinds ? kEventKindInfo[i] : kUnknownEventKind;
+}
+
+constexpr std::string_view kind_name(EventKind k) { return kind_info(k).name; }
 
 /// Origin of a kPrefetchIssue, carried in Event::b.
 enum class PrefetchSource : std::uint8_t {

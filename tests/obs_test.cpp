@@ -75,6 +75,37 @@ TEST(EventTrace, KindNamesAreUniqueAndNonEmpty) {
   }
 }
 
+// A kind byte outside the table (a corrupted or version-skewed trace) must
+// never index past it: it names itself "unknown", exports as an "unknown"
+// instant and is the checker's first report.
+TEST(EventTrace, OutOfRangeKindReadsAsUnknownEverywhere) {
+  const auto last = static_cast<EventKind>(kNumEventKinds - 1);
+  EXPECT_EQ(&kind_info(last), &kEventKindInfo[kNumEventKinds - 1]);
+  for (unsigned raw : {static_cast<unsigned>(kNumEventKinds), 0xFFu}) {
+    const auto kind = static_cast<EventKind>(raw);
+    EXPECT_EQ(&kind_info(kind), &kUnknownEventKind) << raw;
+    EXPECT_EQ(kind_name(kind), "unknown") << raw;
+
+    EventTrace et;
+    et.record(EventKind::kSchedPick, 5, 0);
+    et.events_mut().front().kind = kind;
+
+    std::stringstream ss;
+    write_chrome_trace(ss, et);
+    EXPECT_NE(ss.str().find("{\"name\":\"unknown\",\"ph\":\"i\""),
+              std::string::npos)
+        << ss.str();
+
+    RunTotals totals;
+    totals.makespan = 5;
+    CheckResult res = check_invariants(et, totals);
+    EXPECT_NE(res.summary().find("event 0: unknown EventKind " +
+                                 std::to_string(raw)),
+              std::string::npos)
+        << res.summary();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invariants hold on every paper batch under every policy.
 

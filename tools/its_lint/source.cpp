@@ -32,14 +32,6 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"det-double-ns",
      "double-precision accumulation of nanosecond quantities outside "
      "src/util/stats.* (silent rounding corrupts accounting)"},
-    {"reg-kind-name",
-     "EventKind enumerator without a kind_name() entry in event_trace.cpp"},
-    {"reg-chrome-map",
-     "EventKind enumerator without a Chrome-trace mapping in trace_json.cpp"},
-    {"reg-invariant",
-     "EventKind enumerator never referenced by invariant_checker.cpp"},
-    {"reg-kind-count",
-     "kNumEventKinds/static_assert out of sync with the EventKind body"},
     {"reg-metrics-report",
      "SimMetrics counter missing from report.cpp"},
     {"reg-config-doc",
@@ -145,8 +137,9 @@ std::string strip_comments_and_strings(std::string_view text) {
             out += c;
             break;
           }
-          raw_delim = ")";
-          raw_delim.append(text.substr(i + 2, open - (i + 2)));
+          raw_delim.clear();
+          raw_delim += ')';
+          raw_delim += text.substr(i + 2, open - (i + 2));
           raw_delim += '"';
           for (std::size_t j = i; j <= open; ++j)
             out += text[j] == '\n' ? '\n' : ' ';
