@@ -5,9 +5,9 @@
 // self-sacrificing thread exploits) emerges naturally.
 #pragma once
 
+#include "mem/set_assoc.h"
 #include "util/types.h"
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +34,9 @@ struct CacheStats {
 
 class SetAssocCache {
  public:
+  /// Throws std::invalid_argument naming the field for a line size that is
+  /// not a power of two or exceeds a page, zero ways, a size that is not a
+  /// whole number of sets, or a set count that is not a power of two.
   explicit SetAssocCache(const CacheConfig& cfg);
 
   /// Looks up `addr`; on miss, inserts the line (allocate-on-miss for both
@@ -47,46 +50,20 @@ class SetAssocCache {
   /// prefetch warming paths).
   void fill(its::PhysAddr addr);
 
-  /// Drops one line if present; returns whether it was present.
-  bool invalidate(its::PhysAddr addr);
-
   /// Drops all lines in [base, base+len).
   void invalidate_range(its::PhysAddr base, its::Bytes len);
 
-  void invalidate_all();
-
   const CacheConfig& config() const { return cfg_; }
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-
-  unsigned sets() const { return num_sets_; }
-  std::uint64_t lines_resident() const;
+  std::uint64_t lines_resident() const { return lines_.resident(); }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< Higher = more recently used.
-    bool valid = false;
-  };
-
-  // addr→line/set/tag splits sit on the page-eviction invalidate path
-  // (hundreds of millions of calls in a serving run), where a hardware
-  // divide by a runtime divisor costs more than the whole way scan.  The
-  // ctor precomputes shift/mask forms; the modulo fallback only runs for
-  // non-power-of-two set counts, which no shipped config uses.
   std::uint64_t line_of(its::PhysAddr addr) const {
     return addr >> line_shift_;
   }
-  unsigned set_index(std::uint64_t line) const {
-    if (pow2_sets_) return static_cast<unsigned>(line & set_mask_);
-    return static_cast<unsigned>(line % num_sets_);
-  }
-  std::uint64_t tag_of(std::uint64_t line) const {
-    if (pow2_sets_) return line >> set_shift_;
-    return line / num_sets_;
-  }
 
-  bool invalidate_line(std::uint64_t line);
+  /// The miss path shared by access and fill.
+  void insert(std::uint64_t line);
 
   // Exact resident-line count per 4 KiB region, maintained on every insert,
   // replacement and invalidation.  Page eviction invalidates its frame at
@@ -102,20 +79,10 @@ class SetAssocCache {
     ++region_lines_[r];
   }
   void region_sub(std::uint64_t line) { --region_lines_[region_of_line(line)]; }
-  /// The victim's line number reconstructed from its slot: row-major layout
-  /// stores set implicitly, the tag the rest.
-  std::uint64_t line_of_way(std::uint64_t tag, unsigned set) const {
-    return tag * num_sets_ + set;
-  }
 
   CacheConfig cfg_;
-  unsigned num_sets_;
-  unsigned line_shift_ = 0;
-  bool pow2_sets_ = false;
-  unsigned set_shift_ = 0;
-  std::uint64_t set_mask_ = 0;
-  std::uint64_t tick_ = 0;
-  std::vector<Way> ways_;  ///< num_sets_ * cfg_.ways, row-major by set.
+  unsigned line_shift_;
+  SetAssoc<NoPayload> lines_;  ///< Keyed by line number.
   std::vector<std::uint32_t> region_lines_;
   CacheStats stats_;
 };

@@ -12,18 +12,13 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg)
 
 AccessResult CacheHierarchy::access_line(its::PhysAddr addr) {
   if (l1_.access(addr)) return {HitLevel::kL1, cfg_.l1.hit_latency};
-  if (l2_.access(addr)) {
-    l1_.fill(addr);
+  // A miss at a level has already allocated the line there, so the levels
+  // above the hit are filled by their own access calls.
+  if (l2_.access(addr))
     return {HitLevel::kL2, cfg_.l1.hit_latency + cfg_.l2.hit_latency};
-  }
-  if (llc_.access(addr)) {
-    l2_.fill(addr);
-    l1_.fill(addr);
+  if (llc_.access(addr))
     return {HitLevel::kLlc,
             cfg_.l1.hit_latency + cfg_.l2.hit_latency + cfg_.llc.hit_latency};
-  }
-  l2_.fill(addr);
-  l1_.fill(addr);
   return {HitLevel::kMemory, cfg_.l1.hit_latency + cfg_.l2.hit_latency +
                                  cfg_.llc.hit_latency + cfg_.dram_latency};
 }
@@ -61,12 +56,6 @@ void CacheHierarchy::invalidate_page(its::PhysAddr page_base) {
   l1_.invalidate_range(page_base, its::kPageSize);
   l2_.invalidate_range(page_base, its::kPageSize);
   llc_.invalidate_range(page_base, its::kPageSize);
-}
-
-void CacheHierarchy::reset_stats() {
-  l1_.reset_stats();
-  l2_.reset_stats();
-  llc_.reset_stats();
 }
 
 }  // namespace its::mem

@@ -58,8 +58,6 @@ class CacheHierarchy {
     return l1_.stats().hits + l1_.stats().misses;
   }
 
-  void reset_stats();
-
  private:
   AccessResult access_line(its::PhysAddr addr);
 

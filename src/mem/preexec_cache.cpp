@@ -1,5 +1,6 @@
 #include "mem/preexec_cache.h"
 
+#include "mem/set_assoc.h"
 #include "util/types.h"
 
 #include <bit>
@@ -13,63 +14,43 @@ std::uint64_t byte_mask(unsigned lo, unsigned n) {
   if (n >= 64) return ~0ull;
   return ((1ull << n) - 1) << lo;
 }
-}  // namespace
 
-PreexecCache::PreexecCache(const PreexecCacheConfig& cfg) : cfg_(cfg) {
-  if (cfg.line_size != 64)
-    throw std::invalid_argument("PreexecCache models 64-byte lines (one INV bit per byte)");
-  std::uint64_t n = cfg.size_bytes / cfg.line_size;
+/// Bytes of [addr, addr+size) that fall in line `la`, one bit per byte.
+std::uint64_t line_mask(its::VirtAddr addr, unsigned size, std::uint64_t la) {
+  constexpr std::uint64_t kLast = its::kCacheLineSize - 1;
+  const std::uint64_t lo = la == its::line_of(addr) ? addr & kLast : 0;
+  const its::VirtAddr end = addr + size - 1;
+  const std::uint64_t hi = la == its::line_of(end) ? end & kLast : kLast;
+  return byte_mask(static_cast<unsigned>(lo),
+                   static_cast<unsigned>(hi - lo + 1));
+}
+
+std::uint64_t sets_of(const PreexecCacheConfig& cfg) {
+  if (cfg.line_size != its::kCacheLineSize)
+    throw std::invalid_argument(
+        "PreexecCache models 64-byte lines (one INV bit per byte)");
+  const std::uint64_t n = cfg.size_bytes / cfg.line_size;
   if (cfg.ways == 0 || n < cfg.ways || n % cfg.ways != 0)
     throw std::invalid_argument("PreexecCache size/ways mismatch");
-  num_sets_ = static_cast<unsigned>(n / cfg.ways);
-  lines_.assign(n, Line{});
+  return n / cfg.ways;
 }
+}  // namespace
 
-PreexecCache::Line* PreexecCache::find(its::VirtAddr line_addr) {
-  unsigned set = static_cast<unsigned>(line_addr % num_sets_);
-  std::uint64_t tag = line_addr / num_sets_;
-  Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
-  for (unsigned w = 0; w < cfg_.ways; ++w)
-    if (base[w].valid && base[w].tag == tag) return &base[w];
-  return nullptr;
-}
-
-PreexecCache::Line& PreexecCache::find_or_alloc(its::VirtAddr line_addr) {
-  unsigned set = static_cast<unsigned>(line_addr % num_sets_);
-  std::uint64_t tag = line_addr / num_sets_;
-  Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
-  Line* victim = base;
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.lru = ++tick_;
-      return l;
-    }
-    if (!l.valid) {
-      victim = &l;
-    } else if (victim->valid && l.lru < victim->lru) {
-      victim = &l;
-    }
-  }
-  *victim = Line{};
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = ++tick_;
-  return *victim;
-}
+PreexecCache::PreexecCache(const PreexecCacheConfig& cfg)
+    : lines_(sets_of(cfg), cfg.ways, "PreexecCache") {}
 
 void PreexecCache::store(its::VirtAddr addr, unsigned size, bool invalid) {
   if (size == 0) return;  // zero-byte store writes nothing
   ++stats_.stores;
-  std::uint64_t first = addr / cfg_.line_size;
-  std::uint64_t last = (addr + (size ? size - 1 : 0)) / cfg_.line_size;
-  for (std::uint64_t la = first; la <= last; ++la) {
-    std::uint64_t lo = (la == first) ? addr % cfg_.line_size : 0;
-    std::uint64_t hi =
-        (la == last) ? (addr + size - 1) % cfg_.line_size : cfg_.line_size - 1;
-    std::uint64_t m = byte_mask(static_cast<unsigned>(lo),
-                                static_cast<unsigned>(hi - lo + 1));
-    Line& l = find_or_alloc(la);
+  const std::uint64_t last = its::line_of(addr + size - 1);
+  for (std::uint64_t la = its::line_of(addr); la <= last; ++la) {
+    const std::uint64_t m = line_mask(addr, size, la);
+    std::size_t slot = lines_.find(la);
+    if (slot == kNoSlot)
+      slot = lines_.insert(la).slot;
+    else
+      lines_.touch(slot);
+    Masks& l = lines_.payload(slot);
     l.written |= m;
     if (invalid) {
       l.inv |= m;
@@ -87,39 +68,25 @@ PxLookup PreexecCache::lookup(its::VirtAddr addr, unsigned size) {
     return r;
   }
   r.complete = true;
-  std::uint64_t first = addr / cfg_.line_size;
-  std::uint64_t last = (addr + (size ? size - 1 : 0)) / cfg_.line_size;
-  for (std::uint64_t la = first; la <= last; ++la) {
-    std::uint64_t lo = (la == first) ? addr % cfg_.line_size : 0;
-    std::uint64_t hi =
-        (la == last) ? (addr + size - 1) % cfg_.line_size : cfg_.line_size - 1;
-    std::uint64_t m = byte_mask(static_cast<unsigned>(lo),
-                                static_cast<unsigned>(hi - lo + 1));
-    Line* l = find(la);
-    if (l == nullptr || (l->written & m) == 0) {
+  const std::uint64_t last = its::line_of(addr + size - 1);
+  for (std::uint64_t la = its::line_of(addr); la <= last; ++la) {
+    const std::uint64_t m = line_mask(addr, size, la);
+    const std::size_t slot = lines_.find(la);
+    if (slot == kNoSlot || (lines_.payload(slot).written & m) == 0) {
       r.complete = false;
       continue;
     }
-    l->lru = ++tick_;
+    lines_.touch(slot);
+    const Masks& l = lines_.payload(slot);
     r.found = true;
-    if ((l->written & m) != m) r.complete = false;
-    if ((l->inv & m) != 0) r.any_invalid = true;
+    if ((l.written & m) != m) r.complete = false;
+    if ((l.inv & m) != 0) r.any_invalid = true;
   }
   if (r.found)
     ++stats_.load_hits;
   else
     ++stats_.load_misses;
   return r;
-}
-
-void PreexecCache::clear() {
-  for (auto& l : lines_) l = Line{};
-}
-
-std::uint64_t PreexecCache::lines_resident() const {
-  std::uint64_t n = 0;
-  for (const auto& l : lines_) n += l.valid ? 1 : 0;
-  return n;
 }
 
 }  // namespace its::mem

@@ -11,10 +11,10 @@
 // is only accessible during pre-execution.
 #pragma once
 
+#include "mem/set_assoc.h"
 #include "util/types.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace its::mem {
 
@@ -40,6 +40,8 @@ struct PreexecCacheStats {
 
 class PreexecCache {
  public:
+  /// Throws std::invalid_argument unless lines are 64 B, the size is a
+  /// whole number of sets and the set count is a power of two.
   explicit PreexecCache(const PreexecCacheConfig& cfg = {});
 
   /// Composite key for (pid, vaddr): heap VAs use < 48 bits.
@@ -54,28 +56,16 @@ class PreexecCache {
   /// Pre-execute load probe over [addr, addr+size).
   PxLookup lookup(its::VirtAddr addr, unsigned size);
 
-  /// Drops every entry (e.g. between simulations).
-  void clear();
-
   const PreexecCacheStats& stats() const { return stats_; }
-  std::uint64_t lines_resident() const;
+  std::uint64_t lines_resident() const { return lines_.resident(); }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
+  struct Masks {
     std::uint64_t written = 0;  ///< Bit i: byte i of the line was stored.
     std::uint64_t inv = 0;      ///< Bit i: byte i is invalid.
-    std::uint64_t lru = 0;
-    bool valid = false;
   };
 
-  Line* find(its::VirtAddr line_addr);
-  Line& find_or_alloc(its::VirtAddr line_addr);
-
-  PreexecCacheConfig cfg_;
-  unsigned num_sets_;
-  std::uint64_t tick_ = 0;
-  std::vector<Line> lines_;
+  SetAssoc<Masks> lines_;  ///< Keyed by line_of(key).
   PreexecCacheStats stats_;
 };
 

@@ -1,50 +1,47 @@
 #include "mem/tlb.h"
 
+#include "mem/set_assoc.h"
 #include "util/types.h"
 
 #include <stdexcept>
 
 namespace its::mem {
 
-Tlb::Tlb(unsigned entries) : entries_(entries) {
-  if (entries == 0) throw std::invalid_argument("Tlb: entries must be > 0");
+namespace {
+unsigned checked(unsigned entries) {
+  if (entries == 0 || entries > Tlb::kMaxEntries)
+    throw std::invalid_argument("tlb_entries must be in [1, 4096]");
+  return entries;
 }
+}  // namespace
+
+Tlb::Tlb(unsigned entries) : entries_(1, checked(entries), "Tlb") {}
 
 bool Tlb::lookup(its::Vpn vpn) {
-  auto it = map_.find(vpn);
-  if (it == map_.end()) {
+  const std::size_t slot = entries_.find(vpn);
+  if (slot == kNoSlot) {
     ++stats_.misses;
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  entries_.touch(slot);
   ++stats_.hits;
   return true;
 }
 
 void Tlb::insert(its::Vpn vpn) {
-  auto it = map_.find(vpn);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (map_.size() >= entries_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(vpn);
-  map_[vpn] = lru_.begin();
+  if (const std::size_t slot = entries_.find(vpn); slot != kNoSlot)
+    entries_.touch(slot);
+  else
+    entries_.insert(vpn);
 }
 
 void Tlb::invalidate(its::Vpn vpn) {
-  auto it = map_.find(vpn);
-  if (it == map_.end()) return;
-  lru_.erase(it->second);
-  map_.erase(it);
+  if (const std::size_t slot = entries_.find(vpn); slot != kNoSlot)
+    entries_.erase(slot);
 }
 
 void Tlb::flush() {
-  lru_.clear();
-  map_.clear();
+  entries_.clear();
   ++stats_.flushes;
 }
 

@@ -5,11 +5,10 @@
 // context-switch costs — the Async baseline pays it on every fault).
 #pragma once
 
+#include "mem/set_assoc.h"
 #include "util/types.h"
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 namespace its::mem {
 
@@ -21,6 +20,12 @@ struct TlbStats {
 
 class Tlb {
  public:
+  /// Largest accepted capacity — above any real L1/L2 data TLB; the
+  /// entries are allocated up front.
+  static constexpr unsigned kMaxEntries = 4096;
+
+  /// Throws std::invalid_argument naming `tlb_entries` unless
+  /// 1 <= entries <= kMaxEntries.
   explicit Tlb(unsigned entries = 64);
 
   /// Looks up a translation for `vpn`; true on hit (and refreshes LRU).
@@ -36,14 +41,10 @@ class Tlb {
   void flush();
 
   const TlbStats& stats() const { return stats_; }
-  std::size_t size() const { return map_.size(); }
-  unsigned capacity() const { return entries_; }
+  std::size_t size() const { return entries_.resident(); }
 
  private:
-  unsigned entries_;
-  // LRU list front = most recent; map vpn -> list iterator.
-  std::list<its::Vpn> lru_;
-  std::unordered_map<its::Vpn, std::list<its::Vpn>::iterator> map_;
+  SetAssoc<NoPayload> entries_;  ///< One set of `entries` ways.
   TlbStats stats_;
 };
 
