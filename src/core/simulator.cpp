@@ -240,10 +240,9 @@ bool Simulator::do_mem_access(Process& p, const Instr& in) {
 }
 
 void Simulator::do_translated_access(Process& p, const Instr& in, its::Vpn vpn) {
-  if (!tlb_.lookup(key_of(p.pid(), vpn))) {
+  if (!tlb_.access(key_of(p.pid(), vpn))) {
     advance(p, cfg_.tlb_walk_cost);
     charge_stall(p, cfg_.tlb_walk_cost);
-    tlb_.insert(key_of(p.pid(), vpn));
   }
   vm::Pte* pte = p.mm().pte(vpn);
   pte->set_accessed(true);

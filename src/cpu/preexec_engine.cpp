@@ -196,7 +196,7 @@ EpisodeResult PreexecEngine::run(const trace::Trace& trace, std::size_t fault_id
 
   // Episode end: retire the store buffer into the pre-execute cache, then
   // run the state-recovery policy (restore the shadow register file).
-  for (const auto& e : sb_.drain()) retire(e);
+  sb_.drain([this](const SbEntry& e) { retire(e); });
   shadow_.restore(rf);
   ep.used += cfg_.restore_cost;
   if (ep.used > budget) ep.used = budget;  // clamp final partial op

@@ -6,12 +6,16 @@
 // store instructions can be verified by checking the pre-execute cache"
 // (§3.4.2).  Entries are keyed in the same (pid, vaddr) key space as the
 // pre-execute cache.
+//
+// A fixed ring of `capacity` slots, allocated once: a push, a lookup and a
+// drain allocate nothing.  Each field has its own array, so the
+// youngest-first overlap scan reads addresses and sizes only.
 #pragma once
 
 #include "util/types.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -31,7 +35,8 @@ struct SbHit {
 
 class StoreBuffer {
  public:
-  explicit StoreBuffer(std::size_t capacity = 56) : capacity_(capacity) {}
+  /// Throws std::invalid_argument naming `capacity` if it is 0.
+  explicit StoreBuffer(std::size_t capacity = 56);
 
   /// Appends a store; if the buffer is full the oldest entry retires and is
   /// returned (the caller forwards it to the pre-execute cache).
@@ -40,22 +45,34 @@ class StoreBuffer {
   /// Youngest-entry-wins forwarding lookup over [addr, addr+size).
   SbHit lookup(its::VirtAddr addr, std::uint16_t size) const;
 
-  /// Retires every entry (episode end); buffer becomes empty.
-  std::vector<SbEntry> drain();
-
-  void clear() { entries_.clear(); }
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return entries_.empty(); }
-
- private:
-  static bool overlaps(const SbEntry& e, its::VirtAddr addr,
-                       std::uint16_t size) {
-    return e.addr < addr + size && addr < e.addr + e.size;
+  /// Retires every entry (episode end), oldest first, through
+  /// `retire(const SbEntry&)`; the buffer becomes empty.
+  template <class F>
+  void drain(F&& retire) {
+    for (std::size_t i = 0; i < size_; ++i) retire(entry(slot(i)));
+    clear();
   }
 
-  std::size_t capacity_;
-  std::deque<SbEntry> entries_;  // front = oldest
+  void clear() { size_ = 0; }
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return addrs_.size(); }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  /// The slot of the i-th oldest entry.
+  std::size_t slot(std::size_t i) const {
+    i += head_;
+    return i >= capacity() ? i - capacity() : i;
+  }
+  SbEntry entry(std::size_t s) const {
+    return {addrs_[s], sizes_[s], invalid_[s] != 0};
+  }
+
+  std::vector<its::VirtAddr> addrs_;  ///< Per slot; sized once.
+  std::vector<std::uint16_t> sizes_;
+  std::vector<std::uint8_t> invalid_;  ///< Not vector<bool>: plain bytes.
+  std::size_t head_ = 0;  ///< Slot of the oldest entry.
+  std::size_t size_ = 0;
 };
 
 }  // namespace its::cpu

@@ -1,9 +1,10 @@
 #include "mem/cache.h"
 
-#include "mem/set_assoc.h"
 #include "util/types.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace its::mem {
@@ -30,8 +31,8 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
 
 bool SetAssocCache::access(its::PhysAddr addr) {
   const std::uint64_t line = line_of(addr);
-  if (const std::size_t slot = lines_.find(line); slot != kNoSlot) {
-    lines_.touch(slot);
+  if (resident(line)) {
+    lines_.touch(lines_.find(line));
     ++stats_.hits;
     return true;
   }
@@ -41,13 +42,13 @@ bool SetAssocCache::access(its::PhysAddr addr) {
 }
 
 bool SetAssocCache::probe(its::PhysAddr addr) const {
-  return lines_.find(line_of(addr)) != kNoSlot;
+  return resident(line_of(addr));
 }
 
 void SetAssocCache::fill(its::PhysAddr addr) {
   const std::uint64_t line = line_of(addr);
-  if (const std::size_t slot = lines_.find(line); slot != kNoSlot)
-    lines_.touch(slot);
+  if (resident(line))
+    lines_.touch(lines_.find(line));
   else
     insert(line);
 }
@@ -55,27 +56,32 @@ void SetAssocCache::fill(its::PhysAddr addr) {
 void SetAssocCache::insert(std::uint64_t line) {
   if (const auto victim = lines_.insert(line).evicted) {
     ++stats_.evictions;
-    region_sub(*victim);
+    resident_[*victim >> 6] &= ~(std::uint64_t{1} << (*victim & 63));
   }
-  region_add(line);
+  if ((line >> 6) >= resident_.size()) resident_.resize((line >> 6) + 1, 0);
+  resident_[line >> 6] |= std::uint64_t{1} << (line & 63);
 }
 
 void SetAssocCache::invalidate_range(its::PhysAddr base, its::Bytes len) {
   if (len == 0) return;
   const std::uint64_t first = line_of(base);
   const std::uint64_t last = line_of(base + len - 1);
-  // Within one region the count bounds the sweep: a cache-cold region (the
-  // common CLOCK victim) needs none, and a warm one stops once it drains.
-  const std::uint64_t region = region_of_line(first);
-  std::uint32_t left = 0xffffffffu;
-  if (region == region_of_line(last))
-    left = region < region_lines_.size() ? region_lines_[region] : 0;
-  if (left == 0) return;
-  lines_.erase_range(first, last, [&](std::uint64_t line) {
-    ++stats_.invalidations;
-    region_sub(line);
-    return --left != 0;
-  });
+  // Mask each covered word to the range, then erase its set bits: the cost
+  // follows the resident lines, not the range.
+  const std::uint64_t end =
+      std::min<std::uint64_t>((last >> 6) + 1, resident_.size());
+  for (std::uint64_t w = first >> 6; w < end; ++w) {
+    std::uint64_t bits = resident_[w];
+    if (w == first >> 6) bits &= ~std::uint64_t{0} << (first & 63);
+    if (w == last >> 6) bits &= ~std::uint64_t{0} >> (63 - (last & 63));
+    resident_[w] &= ~bits;
+    for (; bits != 0; bits &= bits - 1) {
+      const std::uint64_t line =
+          (w << 6) | static_cast<unsigned>(std::countr_zero(bits));
+      lines_.erase(lines_.find(line));
+      ++stats_.invalidations;
+    }
+  }
 }
 
 }  // namespace its::mem

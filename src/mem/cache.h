@@ -65,25 +65,20 @@ class SetAssocCache {
   /// The miss path shared by access and fill.
   void insert(std::uint64_t line);
 
-  // Exact resident-line count per 4 KiB region, maintained on every insert,
-  // replacement and invalidation.  Page eviction invalidates its frame at
-  // every level, but CLOCK victims are usually cache-cold by then — the
-  // count lets invalidate_range answer "nothing resident" in O(1) instead
-  // of sweeping ways, and stop a warm sweep the moment the region drains.
-  std::uint64_t region_of_line(std::uint64_t line) const {
-    return line >> (its::kPageShift - line_shift_);
+  // One bit per line number, 64 lines a word, set exactly while the line is
+  // resident.  Page eviction invalidates its frame at every level, but CLOCK
+  // victims are usually cache-cold by then: the bits let invalidate_range
+  // visit only the resident lines (none, most often) and answer probe and
+  // the hit test without scanning a set.
+  bool resident(std::uint64_t line) const {
+    const std::uint64_t w = line >> 6;
+    return w < resident_.size() && (resident_[w] >> (line & 63) & 1) != 0;
   }
-  void region_add(std::uint64_t line) {
-    const std::uint64_t r = region_of_line(line);
-    if (r >= region_lines_.size()) region_lines_.resize(r + 1, 0);
-    ++region_lines_[r];
-  }
-  void region_sub(std::uint64_t line) { --region_lines_[region_of_line(line)]; }
 
   CacheConfig cfg_;
   unsigned line_shift_;
   SetAssoc<NoPayload> lines_;  ///< Keyed by line number.
-  std::vector<std::uint32_t> region_lines_;
+  std::vector<std::uint64_t> resident_;  ///< Grown to the highest line.
   CacheStats stats_;
 };
 

@@ -95,30 +95,6 @@ class SetAssoc {
     --resident_;
   }
 
-  /// Erases every resident key in [first, last], calling `erased(key)` after
-  /// each; stops as soon as `erased` returns false.
-  template <class F>
-  void erase_range(std::uint64_t first, std::uint64_t last, F&& erased) {
-    const std::uint64_t tag = first >> set_shift_;
-    if (tag != last >> set_shift_) {
-      for (std::uint64_t key = first; key <= last; ++key)
-        if (const std::size_t i = find(key); i != kNoSlot) {
-          erase(i);
-          if (!erased(key)) return;
-        }
-      return;
-    }
-    // One tag block: the keys fill consecutive sets under a single tag, so a
-    // sequential sweep of those sets replaces the per-key set/tag split.
-    for (std::uint64_t set = first & set_mask_; set <= (last & set_mask_);
-         ++set)
-      for (std::size_t i = set * ways_; i < (set + 1) * ways_; ++i)
-        if (tags_[i] == tag && stamps_[i] != 0) {
-          erase(i);
-          if (!erased((tag << set_shift_) | set)) return;
-        }
-  }
-
   /// Empties every way.
   void clear() {
     std::fill(stamps_.begin(), stamps_.end(), 0);

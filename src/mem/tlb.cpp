@@ -17,6 +17,12 @@ unsigned checked(unsigned entries) {
 
 Tlb::Tlb(unsigned entries) : entries_(1, checked(entries), "Tlb") {}
 
+bool Tlb::access(its::Vpn vpn) {
+  if (lookup(vpn)) return true;
+  entries_.insert(vpn);
+  return false;
+}
+
 bool Tlb::lookup(its::Vpn vpn) {
   const std::size_t slot = entries_.find(vpn);
   if (slot == kNoSlot) {

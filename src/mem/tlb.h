@@ -28,6 +28,11 @@ class Tlb {
   /// 1 <= entries <= kMaxEntries.
   explicit Tlb(unsigned entries = 64);
 
+  /// Translates `vpn`: true on a hit (and refreshes LRU); on a miss, counts
+  /// it and installs the translation the page walk produces.  One scan of
+  /// the entries on a hit, one plus the victim scan on a miss.
+  bool access(its::Vpn vpn);
+
   /// Looks up a translation for `vpn`; true on hit (and refreshes LRU).
   bool lookup(its::Vpn vpn);
 

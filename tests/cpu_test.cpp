@@ -3,6 +3,11 @@
 // engine's Fig. 3 store/load flows.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cpu/preexec_engine.h"
@@ -13,6 +18,25 @@
 #include "trace/trace.h"
 #include "util/types.h"
 #include "vm/mm.h"
+
+// Heap allocations counted while `g_count_allocs` is set: the allocation
+// test arms it around one call only, so gtest's own allocations never count.
+namespace {
+bool g_count_allocs = false;
+std::size_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into a new-expression's cleanup, gcc would flag the
+// free as mismatched with operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace its::cpu {
 namespace {
@@ -95,11 +119,23 @@ TEST(StoreBuffer, DrainReturnsFifoOrderAndEmpties) {
   StoreBuffer sb(4);
   sb.push({0x1, 1, false});
   sb.push({0x2, 1, true});
-  auto all = sb.drain();
+  std::vector<SbEntry> all;
+  sb.drain([&](const SbEntry& e) { all.push_back(e); });
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].addr, 0x1u);
   EXPECT_EQ(all[1].addr, 0x2u);
+  EXPECT_TRUE(all[1].invalid);
   EXPECT_TRUE(sb.empty());
+}
+
+TEST(StoreBuffer, RejectsZeroCapacity) {
+  try {
+    StoreBuffer sb(0);
+    FAIL() << "capacity 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,6 +329,34 @@ TEST_F(PreexecEngineTest, TotalsAccumulateAcrossEpisodes) {
   eng.run(t, 0, rf_, mm_, 3000);
   EXPECT_EQ(eng.totals().episodes, 2u);
   EXPECT_GE(eng.totals().records, 2u);
+}
+
+TEST_F(PreexecEngineTest, EpisodesAfterTheFirstAllocateNothing) {
+  // Enough valid stores to overflow the 56-entry store buffer (retiring
+  // through the ring), forwarded and plain loads, and a swapped-page store.
+  trace::Trace t;
+  t.push_back(Instr::load(va(kSwapped), 8, 1, 0));
+  for (unsigned i = 0; i < 80; ++i) {
+    const unsigned off = 64 * (i % 64);
+    t.push_back(Instr::store(va(i % 2 ? kMapped : kMapped2, off), 8, 0, 0));
+    t.push_back(Instr::load(va(kMapped, off), 8, 2, 0));
+  }
+  t.push_back(Instr::store(va(kSwapped, 0x40), 8, 0, 0));
+  PreexecConfig cfg;
+  cfg.max_warm_fills = 1000;
+  auto eng = make_engine(cfg);
+  eng.run(t, 0, rf_, mm_, 1'000'000);
+  // Cold caches again, so the measured episode warms the same lines anew.
+  caches_.invalidate_page(10ull << its::kPageShift);
+  caches_.invalidate_page(11ull << its::kPageShift);
+
+  g_allocs = 0;
+  g_count_allocs = true;
+  EpisodeResult ep = eng.run(t, 0, rf_, mm_, 1'000'000);
+  g_count_allocs = false;
+  EXPECT_GT(ep.stores_buffered, 56u);
+  EXPECT_GT(ep.lines_warmed, 0u);
+  EXPECT_EQ(g_allocs, 0u);
 }
 
 }  // namespace

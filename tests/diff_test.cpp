@@ -1,11 +1,13 @@
-// Differential tests for src/mem: the caches, the hierarchy, the TLB and the
-// pre-execute cache each run beside an obviously-correct reference model
-// (MRU-first std::list stacks, a std::map of byte masks) under seeded random
+// Differential tests for src/mem and the pre-execute store buffer: the
+// caches, the hierarchy, the TLB, the pre-execute cache and the store buffer
+// each run beside an obviously-correct reference model (MRU-first std::list
+// stacks, a std::map of byte masks, a std::deque) under seeded random
 // operation streams, compared after every step.  A failure prints the seed
 // and the step, so a divergence replays from the test name alone.
 // `ctest -L diff` runs just these.
 #include <gtest/gtest.h>
 
+#include "cpu/store_buffer.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/preexec_cache.h"
@@ -16,9 +18,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <list>
 #include <map>
+#include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -133,9 +138,9 @@ void same_stats(Mismatch& m, const char* level, const CacheStats& got,
   m.eq(l + " invalidations", got.invalidations, want.invalidations);
 }
 
-/// Pages the streams draw from: some adjacent (ranges span regions), some
-/// apart.  Cold pages are never accessed, so their invalidation takes the
-/// empty-region early-out.
+/// Pages the streams draw from: some adjacent (ranges span pages), some
+/// apart.  Cold pages are never accessed, so their invalidation finds no
+/// resident bit.
 constexpr PhysAddr kPages[] = {0x0, 0x1000, 0x2000, 0x7000, 0x40000, 0x41000};
 constexpr PhysAddr kColdPages[] = {0x9000, 0x80000};
 
@@ -175,6 +180,12 @@ struct CacheCase {
   CacheConfig cfg;
 };
 
+// gtest prints a parameter without a printer as its raw bytes, and ctest
+// discovery copies that text into the test name: the `name` pointer would
+// put a load address there, different at every discovery.  Printed as its
+// name, the case names the ctest test ("…/MatchesListModel/1set_2way").
+void PrintTo(const CacheCase& c, std::ostream* os) { *os << c.name; }
+
 class SetAssocCacheDiff : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(SetAssocCacheDiff, MatchesListModel) {
@@ -204,9 +215,20 @@ TEST_P(SetAssocCacheDiff, MatchesListModel) {
         c.invalidate_range(p, kPageSize);
         ref.invalidate_range(p, kPageSize);
       } else if (op < 82) {
-        // Unaligned, possibly empty, spanning regions and tag blocks.
+        // Unaligned, possibly empty, spanning pages and tag blocks.
         const PhysAddr a = gen.next();
         const Bytes len = rng.below(3 * kPageSize);
+        c.invalidate_range(a, len);
+        ref.invalidate_range(a, len);
+      } else if (op < 88) {
+        // From and to a 64-line word edge of the resident-line mask, or one
+        // line either side of it: ranges that cross words, and ranges that
+        // start or end mid-word.
+        const Bytes word = 64 * Bytes{cfg.line_size};
+        const PhysAddr edge = gen.page() + word * rng.below(2);
+        const PhysAddr a = edge + cfg.line_size * rng.below(3) -
+                           (edge == 0 ? 0 : cfg.line_size);
+        const Bytes len = word * rng.below(3) + cfg.line_size * rng.below(3);
         c.invalidate_range(a, len);
         ref.invalidate_range(a, len);
       } else {
@@ -233,12 +255,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{"8set_2way", {1024, 2, 64, 1}},
                       CacheCase{"64set_2way", {8192, 2, 64, 1}},
                       CacheCase{"64set_16way", {64 * 1024, 16, 64, 1}},
+                      CacheCase{"16set_2way_32B", {1024, 2, 32, 1}},
                       CacheCase{"128set_4way_32B", {16 * 1024, 4, 32, 1}},
                       CacheCase{"8set_4way_128B", {4096, 4, 128, 1}},
-                      CacheCase{"2set_2way_4KiB", {16 * 1024, 2, 4096, 1}}),
-    [](const ::testing::TestParamInfo<CacheCase>& i) {
-      return std::string(i.param.name);
-    });
+                      CacheCase{"2set_2way_4KiB", {16 * 1024, 2, 4096, 1}}));
 
 // --- CacheHierarchy ---------------------------------------------------------
 
@@ -386,10 +406,14 @@ TEST_P(TlbDiff, MatchesListModel) {
       Mismatch m;
       const Vpn k = keys[rng.below(keys.size())];
       const std::uint64_t op = rng.below(100);
-      if (op < 60) {
+      if (op < 30) {  // the simulator's translate: walk and install on a miss
+        const bool want = ref.lookup(k);
+        if (!want) ref.insert(k);
+        m.eq(at("access", k), tlb.access(k), want);
+      } else if (op < 60) {
         const bool hit = tlb.lookup(k);
         m.eq(at("lookup", k), hit, ref.lookup(k));
-        if (!hit && rng.chance(0.8)) {  // the simulator's walk-then-insert
+        if (!hit && rng.chance(0.8)) {  // probes' walk-then-insert
           tlb.insert(k);
           ref.insert(k);
         }
@@ -501,6 +525,8 @@ struct PxCase {
   PreexecCacheConfig cfg;
 };
 
+void PrintTo(const PxCase& c, std::ostream* os) { *os << c.name; }
+
 class PreexecCacheDiff : public ::testing::TestWithParam<PxCase> {};
 
 TEST_P(PreexecCacheDiff, MatchesMapModel) {
@@ -545,10 +571,103 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PxCase{"1set_2way", {128, 2, 64}},
                       PxCase{"2set_2way", {256, 2, 64}},
                       PxCase{"16set_2way", {2048, 2, 64}},
-                      PxCase{"16set_4way", {4096, 4, 64}}),
-    [](const ::testing::TestParamInfo<PxCase>& i) {
-      return std::string(i.param.name);
-    });
+                      PxCase{"16set_4way", {4096, 4, 64}}));
+
+// --- StoreBuffer ------------------------------------------------------------
+
+/// A std::deque of entries, oldest at the front.
+class RefSb {
+ public:
+  explicit RefSb(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<cpu::SbEntry> push(const cpu::SbEntry& e) {
+    std::optional<cpu::SbEntry> retired;
+    if (q_.size() == capacity_) {
+      retired = q_.front();
+      q_.pop_front();
+    }
+    q_.push_back(e);
+    return retired;
+  }
+  cpu::SbHit lookup(VirtAddr a, std::uint16_t n) const {
+    for (auto e = q_.rbegin(); e != q_.rend(); ++e)
+      if (e->addr < a + n && a < e->addr + e->size)
+        return {true, e->invalid, e->addr <= a && a + n <= e->addr + e->size};
+    return {};
+  }
+  std::vector<cpu::SbEntry> drain() {
+    std::vector<cpu::SbEntry> out(q_.begin(), q_.end());
+    q_.clear();
+    return out;
+  }
+  void clear() { q_.clear(); }
+  std::size_t size() const { return q_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::deque<cpu::SbEntry> q_;
+};
+
+void same_entry(Mismatch& m, const std::string& what, const cpu::SbEntry& got,
+                const cpu::SbEntry& want) {
+  m.eq(what + " addr", got.addr, want.addr);
+  m.eq(what + " size", got.size, want.size);
+  m.eq(what + " invalid", got.invalid, want.invalid);
+}
+
+class StoreBufferDiff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(StoreBufferDiff, MatchesDequeModel) {
+  const std::size_t capacity = GetParam();
+  // Keys as the engine forms them; stores overlap often within a base.
+  const std::vector<VirtAddr> bases = {0x0, pid_key(1, 0x1000),
+                                       pid_key(0xFFFF, 0x7fff0000)};
+  constexpr std::uint16_t kSizes[] = {0, 1, 2, 4, 8, 8, 16, 64};
+  for (std::uint64_t seed : kSeeds) {
+    cpu::StoreBuffer sb(capacity);
+    RefSb ref(capacity);
+    util::Rng rng(seed);
+    for (int step = 0; step < kSteps; ++step) {
+      Mismatch m;
+      const VirtAddr a = bases[rng.below(bases.size())] + rng.below(128);
+      const std::uint16_t size = kSizes[rng.below(std::size(kSizes))];
+      const std::uint64_t op = rng.below(100);
+      if (op < 60) {
+        // Mostly pushes: a full buffer retires its oldest entry on every
+        // push, so the ring's head wraps many times between drains.
+        const cpu::SbEntry e{a, size, rng.chance(0.3)};
+        const std::optional<cpu::SbEntry> got = sb.push(e);
+        const std::optional<cpu::SbEntry> want = ref.push(e);
+        m.eq(at("push retired", a), got.has_value(), want.has_value());
+        if (got && want) same_entry(m, at("push retired", a), *got, *want);
+      } else if (op < 96) {
+        const cpu::SbHit got = sb.lookup(a, size);
+        const cpu::SbHit want = ref.lookup(a, size);
+        m.eq(at("lookup found", a), got.found, want.found);
+        m.eq(at("lookup invalid", a), got.invalid, want.invalid);
+        m.eq(at("lookup complete", a), got.complete, want.complete);
+      } else if (op < 99) {
+        std::vector<cpu::SbEntry> got;
+        sb.drain([&](const cpu::SbEntry& e) { got.push_back(e); });
+        const std::vector<cpu::SbEntry> want = ref.drain();
+        m.eq("drained", got.size(), want.size());
+        for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+          same_entry(m, "drained #" + std::to_string(i), got[i], want[i]);
+      } else {
+        sb.clear();
+        ref.clear();
+      }
+      m.eq("size", sb.size(), ref.size());
+      m.eq("empty", sb.empty(), ref.size() == 0);
+      if (m.any())
+        FAIL() << "seed " << seed << " step " << step << ": " << m.why();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, StoreBufferDiff,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{3}, std::size_t{56}));
 
 }  // namespace
 }  // namespace its::mem
