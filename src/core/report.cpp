@@ -3,7 +3,9 @@
 #include "core/experiment.h"
 #include "core/metrics.h"
 #include "core/policy.h"
+#include "obs/run_totals.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -11,6 +13,14 @@
 #include <stdexcept>
 
 namespace its::core {
+
+// Every counter is a uint64_t alias, so RunTotals has no padding and its
+// size counts its fields: a counter added there stops the build here until
+// it has a column below (the pinned row in tests/report_args_test.cpp
+// catches a dropped or swapped column).
+static_assert(sizeof(obs::RunTotals) == 36 * sizeof(std::uint64_t),
+              "obs::RunTotals changed: add the new counter to "
+              "write_metrics_csv, then update this count");
 
 void write_metrics_csv(std::ostream& os, std::span<const BatchResult> grid) {
   os << "batch,policy,cpu_busy_ns,idle_total_ns,mem_stall_ns,busy_wait_ns,"

@@ -24,6 +24,7 @@
 #pragma once
 
 #include "obs/event_trace.h"
+#include "obs/run_totals.h"
 #include "util/types.h"
 
 #include <string>
@@ -38,41 +39,6 @@ struct CheckConfig {
   its::Duration granularity = 1;
 };
 
-/// The slice of a run's final counters the checker reconciles against.
-/// obs is a leaf module (docs/architecture.layers): it may not include
-/// core/metrics.h, so the totals cross this boundary as a flat struct and
-/// the template adapter below copies them out of any metrics-shaped type.
-struct RunTotals {
-  its::SimTime makespan = 0;
-  its::Duration cpu_busy = 0;
-  its::Duration mem_stall = 0;
-  its::Duration busy_wait = 0;
-  its::Duration ctx_switch = 0;
-  its::Duration no_runnable = 0;
-  std::uint64_t major_faults = 0;
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_useful = 0;
-  std::uint64_t preexec_episodes = 0;
-  std::uint64_t async_switches = 0;
-  std::uint64_t evictions = 0;
-  its::Duration stolen_time = 0;
-  std::uint64_t io_errors = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t deadline_aborts = 0;
-  std::uint64_t mode_fallbacks = 0;
-  its::Duration degraded_time = 0;
-  // Device-outage availability (storage/device_health.h, vm/fallback_pool.h).
-  its::Duration health_healthy_time = 0;
-  its::Duration health_degraded_time = 0;
-  its::Duration health_offline_time = 0;
-  its::Duration health_recovering_time = 0;
-  std::uint64_t pool_stores = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_drains = 0;
-  its::Bytes drain_bytes = 0;
-  std::uint64_t faults_served_degraded = 0;
-};
-
 struct CheckResult {
   std::vector<std::string> violations;
 
@@ -81,45 +47,9 @@ struct CheckResult {
   std::string summary() const;
 };
 
-/// Replays `trace` and cross-checks it against the run's totals.
+/// Replays `trace` and cross-checks it against the run's totals (a
+/// core::SimMetrics binds here through its RunTotals base).
 CheckResult check_invariants(const EventTrace& trace, const RunTotals& totals,
                              const CheckConfig& cfg = {});
-
-/// Adapter for core::SimMetrics (or anything with the same field shape):
-/// flattens `metrics` into RunTotals so call sites keep passing their
-/// metrics object directly without obs depending on its definition.
-template <typename Metrics>
-CheckResult check_invariants(const EventTrace& trace, const Metrics& metrics,
-                             const CheckConfig& cfg = {}) {
-  RunTotals t;
-  t.makespan = metrics.makespan;
-  t.cpu_busy = metrics.cpu_busy;
-  t.mem_stall = metrics.idle.mem_stall;
-  t.busy_wait = metrics.idle.busy_wait;
-  t.ctx_switch = metrics.idle.ctx_switch;
-  t.no_runnable = metrics.idle.no_runnable;
-  t.major_faults = metrics.major_faults;
-  t.prefetch_issued = metrics.prefetch_issued;
-  t.prefetch_useful = metrics.prefetch_useful;
-  t.preexec_episodes = metrics.preexec_episodes;
-  t.async_switches = metrics.async_switches;
-  t.evictions = metrics.evictions;
-  t.stolen_time = metrics.stolen_time;
-  t.io_errors = metrics.io_errors;
-  t.io_retries = metrics.io_retries;
-  t.deadline_aborts = metrics.deadline_aborts;
-  t.mode_fallbacks = metrics.mode_fallbacks;
-  t.degraded_time = metrics.degraded_time;
-  t.health_healthy_time = metrics.health_healthy_time;
-  t.health_degraded_time = metrics.health_degraded_time;
-  t.health_offline_time = metrics.health_offline_time;
-  t.health_recovering_time = metrics.health_recovering_time;
-  t.pool_stores = metrics.pool_stores;
-  t.pool_hits = metrics.pool_hits;
-  t.pool_drains = metrics.pool_drains;
-  t.drain_bytes = metrics.drain_bytes;
-  t.faults_served_degraded = metrics.faults_served_degraded;
-  return check_invariants(trace, t, cfg);
-}
 
 }  // namespace its::obs

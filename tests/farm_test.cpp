@@ -33,6 +33,7 @@
 #include "core/report.h"
 #include "farm/farm.h"
 #include "fault/fault_injector.h"
+#include "golden_snapshot.h"
 
 namespace its {
 namespace {
@@ -129,16 +130,8 @@ TEST(Farm, DefaultJobsHonoursItsJobsEnv) {
 // ---------------------------------------------------------------------------
 // The bit-determinism matrix (the farm's reason to exist).
 
-core::ExperimentConfig golden_config() {
-  core::ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
 std::string grid_csv(unsigned jobs) {
-  core::ExperimentConfig cfg = golden_config();
+  core::ExperimentConfig cfg = golden::golden_config();
   cfg.jobs = jobs;
   std::vector<core::BatchResult> grid = core::run_grid_all(cfg);
   return core::metrics_csv(grid);
@@ -155,7 +148,7 @@ TEST(FarmDeterminism, ShuffledSubmissionOrderIsByteIdentical) {
   // Submit the same (batch, policy) tasks in a permuted order and place
   // each result back at its original index: any dependence on execution
   // or submission order would move a byte.
-  core::ExperimentConfig cfg = golden_config();
+  core::ExperimentConfig cfg = golden::golden_config();
   const auto& batches = core::paper_batches();
   const std::size_t np = std::size(core::kAllPolicies);
   const std::size_t n = batches.size() * np;
@@ -201,44 +194,20 @@ TEST(FarmDeterminism, ShuffledSubmissionOrderIsByteIdentical) {
 // recorded by the serial runner, so matching them from a farmed run proves
 // the farm is invisible in the output.
 
-void emit_metrics(std::ostream& os, const std::string& key,
-                  const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.mem_stall=" << m.idle.mem_stall << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".minor_faults=" << m.minor_faults << '\n';
-  os << key << ".llc_misses=" << m.llc_misses << '\n';
-  os << key << ".prefetch_issued=" << m.prefetch_issued << '\n';
-  os << key << ".prefetch_useful=" << m.prefetch_useful << '\n';
-  os << key << ".preexec_episodes=" << m.preexec_episodes << '\n';
-  os << key << ".async_switches=" << m.async_switches << '\n';
-  os << key << ".evictions=" << m.evictions << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-}
-
 TEST(FarmDeterminism, Jobs8ReproducesGoldenMetricsFile) {
   if (const char* fp = std::getenv("ITS_FAULT_PROFILE");
       fp != nullptr && std::string(fp) != "none")
     GTEST_SKIP() << "golden snapshot is fault-free; ITS_FAULT_PROFILE=" << fp;
 
-  core::ExperimentConfig cfg = golden_config();
+  core::ExperimentConfig cfg = golden::golden_config();
   cfg.jobs = 8;
   std::vector<core::BatchResult> grid = core::run_grid_all(cfg);
 
   std::ostringstream os;
-  os << "# its_sim golden metrics — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./golden_test\n";
-  os << "# config: length_scale=0.02 footprint_scale=0.25 seed=42\n";
+  os << golden::kMetricsHeader;
   for (std::size_t bi = 0; bi < grid.size(); ++bi)
     for (PolicyKind k : core::kAllPolicies)
-      emit_metrics(os,
-                   "batch" + std::to_string(bi) + "." +
-                       std::string(core::policy_name(k)),
-                   grid[bi].by_policy.at(k));
+      golden::emit_metrics(os, bi, k, grid[bi].by_policy.at(k));
 
   std::ifstream in(ITS_GOLDEN_DIR "/metrics.golden");
   ASSERT_TRUE(in.good()) << "missing " << ITS_GOLDEN_DIR "/metrics.golden";
@@ -253,7 +222,7 @@ TEST(FarmDeterminism, Jobs8ReproducesFaultGoldenFile) {
   // The hostile-profile golden: per-sim FaultInjector streams must be
   // untouched by concurrency.  cfg.sim.fault is assigned explicitly, so
   // the CI-wide ITS_FAULT_PROFILE default cannot interfere.
-  core::ExperimentConfig cfg = golden_config();
+  core::ExperimentConfig cfg = golden::golden_config();
   cfg.sim.fault = *fault::profile_by_name("hostile");
   cfg.sim.fault.seed = 7;
   const core::BatchSpec& batch = core::paper_batches()[1];
@@ -265,35 +234,9 @@ TEST(FarmDeterminism, Jobs8ReproducesFaultGoldenFile) {
       });
 
   std::ostringstream os;
-  os << "# its_sim fault golden — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./fault_test\n";
-  os << "# config: batch1 length_scale=0.02 footprint_scale=0.25 seed=42 "
-        "fault=hostile fault_seed=7\n";
-  for (std::size_t i = 0; i < std::size(core::kAllPolicies); ++i) {
-    const SimMetrics& m = ms[i];
-    const std::string key{core::policy_name(core::kAllPolicies[i])};
-    os << key << ".makespan=" << m.makespan << '\n';
-    os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-    os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-    os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-    os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-    os << key << ".major_faults=" << m.major_faults << '\n';
-    os << key << ".stolen_time=" << m.stolen_time << '\n';
-    os << key << ".io_errors=" << m.io_errors << '\n';
-    os << key << ".io_retries=" << m.io_retries << '\n';
-    os << key << ".retry_exhausted=" << m.retry_exhausted << '\n';
-    os << key << ".deadline_aborts=" << m.deadline_aborts << '\n';
-    os << key << ".mode_fallbacks=" << m.mode_fallbacks << '\n';
-    os << key << ".degraded_time=" << m.degraded_time << '\n';
-    os << key << ".health_healthy_time=" << m.health_healthy_time << '\n';
-    os << key << ".health_degraded_time=" << m.health_degraded_time << '\n';
-    os << key << ".health_offline_time=" << m.health_offline_time << '\n';
-    os << key << ".health_recovering_time=" << m.health_recovering_time << '\n';
-    os << key << ".pool_stores=" << m.pool_stores << '\n';
-    os << key << ".pool_hits=" << m.pool_hits << '\n';
-    os << key << ".pool_drains=" << m.pool_drains << '\n';
-    os << key << ".faults_served_degraded=" << m.faults_served_degraded << '\n';
-  }
+  os << golden::kFaultHeader;
+  for (std::size_t i = 0; i < std::size(core::kAllPolicies); ++i)
+    golden::emit_fault_metrics(os, core::kAllPolicies[i], ms[i]);
 
   std::ifstream in(ITS_GOLDEN_DIR "/fault_metrics.golden");
   ASSERT_TRUE(in.good()) << "missing " << ITS_GOLDEN_DIR "/fault_metrics.golden";
@@ -309,7 +252,7 @@ TEST(FarmDeterminism, HostileProfileCsvByteIdenticalAtJobs1_2_8) {
   // per-simulator.  Running the full grid under fault injection at three
   // widths is the sharpest probe for shared mutable state in that path.
   auto hostile_csv = [](unsigned jobs) {
-    core::ExperimentConfig cfg = golden_config();
+    core::ExperimentConfig cfg = golden::golden_config();
     cfg.sim.fault = *fault::profile_by_name("hostile");
     cfg.sim.fault.seed = 7;
     cfg.jobs = jobs;

@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -28,8 +31,10 @@
 #include "core/policy.h"
 #include "core/report.h"
 #include "fault/fault_injector.h"
+#include "golden_snapshot.h"
 #include "obs/event_trace.h"
 #include "obs/invariant_checker.h"
+#include "obs/run_totals.h"
 #include "obs/trace_json.h"
 #include "vm/swap.h"
 
@@ -185,39 +190,24 @@ TEST(FaultInjector, OutageWindowsStallTheDevice) {
 // ---------------------------------------------------------------------------
 // Whole-simulation properties.  One small batch keeps each run ~a second.
 
-core::ExperimentConfig small_config() {
-  core::ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
 const core::BatchSpec& test_batch() { return core::paper_batches()[1]; }
 
 SimMetrics run_profile(const char* profile, PolicyKind policy,
                        obs::EventTrace* et = nullptr,
                        std::uint64_t fault_seed = 7) {
-  core::ExperimentConfig cfg = small_config();
+  core::ExperimentConfig cfg = golden::golden_config();
   cfg.sim.fault = *fault::profile_by_name(profile);
   cfg.sim.fault.seed = fault_seed;
   auto traces = core::batch_traces(test_batch(), cfg.gen);
   return core::run_batch_policy(test_batch(), policy, cfg, traces, et);
 }
 
+/// Every counter of the two runs equal (RunTotals is all uint64_t words).
 bool metrics_equal(const SimMetrics& a, const SimMetrics& b) {
-  return a.makespan == b.makespan && a.cpu_busy == b.cpu_busy &&
-         a.idle.mem_stall == b.idle.mem_stall &&
-         a.idle.busy_wait == b.idle.busy_wait &&
-         a.idle.ctx_switch == b.idle.ctx_switch &&
-         a.idle.no_runnable == b.idle.no_runnable &&
-         a.major_faults == b.major_faults && a.io_errors == b.io_errors &&
-         a.io_retries == b.io_retries &&
-         a.retry_exhausted == b.retry_exhausted &&
-         a.deadline_aborts == b.deadline_aborts &&
-         a.mode_fallbacks == b.mode_fallbacks &&
-         a.degraded_time == b.degraded_time &&
-         a.stolen_time == b.stolen_time;
+  using Words =
+      std::array<std::uint64_t, sizeof(obs::RunTotals) / sizeof(std::uint64_t)>;
+  return std::bit_cast<Words>(static_cast<const obs::RunTotals&>(a)) ==
+         std::bit_cast<Words>(static_cast<const obs::RunTotals&>(b));
 }
 
 TEST(FaultSim, DeterministicReplay) {
@@ -389,41 +379,11 @@ TEST(OutageSim, HostileProfileExercisesThePool) {
 
 const char* kFaultGoldenPath = ITS_GOLDEN_DIR "/fault_metrics.golden";
 
-void emit_fault_metrics(std::ostream& os, const std::string& key,
-                        const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-  os << key << ".io_errors=" << m.io_errors << '\n';
-  os << key << ".io_retries=" << m.io_retries << '\n';
-  os << key << ".retry_exhausted=" << m.retry_exhausted << '\n';
-  os << key << ".deadline_aborts=" << m.deadline_aborts << '\n';
-  os << key << ".mode_fallbacks=" << m.mode_fallbacks << '\n';
-  os << key << ".degraded_time=" << m.degraded_time << '\n';
-  os << key << ".health_healthy_time=" << m.health_healthy_time << '\n';
-  os << key << ".health_degraded_time=" << m.health_degraded_time << '\n';
-  os << key << ".health_offline_time=" << m.health_offline_time << '\n';
-  os << key << ".health_recovering_time=" << m.health_recovering_time << '\n';
-  os << key << ".pool_stores=" << m.pool_stores << '\n';
-  os << key << ".pool_hits=" << m.pool_hits << '\n';
-  os << key << ".pool_drains=" << m.pool_drains << '\n';
-  os << key << ".faults_served_degraded=" << m.faults_served_degraded << '\n';
-}
-
 TEST(FaultGolden, HostileRunMatchesSnapshot) {
   std::ostringstream os;
-  os << "# its_sim fault golden — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./fault_test\n";
-  os << "# config: batch1 length_scale=0.02 footprint_scale=0.25 seed=42 "
-        "fault=hostile fault_seed=7\n";
-  for (PolicyKind k : core::kAllPolicies) {
-    SimMetrics m = run_profile("hostile", k);
-    emit_fault_metrics(os, std::string(core::policy_name(k)), m);
-  }
+  os << golden::kFaultHeader;
+  for (PolicyKind k : core::kAllPolicies)
+    golden::emit_fault_metrics(os, k, run_profile("hostile", k));
   std::string actual = os.str();
 
   if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");

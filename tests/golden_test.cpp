@@ -21,6 +21,7 @@
 #include "core/batch.h"
 #include "core/experiment.h"
 #include "core/policy.h"
+#include "golden_snapshot.h"
 
 namespace its::core {
 namespace {
@@ -31,50 +32,18 @@ namespace {
 
 const char* kGoldenPath = ITS_GOLDEN_DIR "/metrics.golden";
 
-ExperimentConfig golden_config() {
-  ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
-void emit_metrics(std::ostream& os, const std::string& key,
-                  const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.mem_stall=" << m.idle.mem_stall << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".minor_faults=" << m.minor_faults << '\n';
-  os << key << ".llc_misses=" << m.llc_misses << '\n';
-  os << key << ".prefetch_issued=" << m.prefetch_issued << '\n';
-  os << key << ".prefetch_useful=" << m.prefetch_useful << '\n';
-  os << key << ".preexec_episodes=" << m.preexec_episodes << '\n';
-  os << key << ".async_switches=" << m.async_switches << '\n';
-  os << key << ".evictions=" << m.evictions << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-}
-
 /// The full snapshot: 4 batches × 5 policies at the fixed seed, traces
 /// shared across policies exactly as the figure benches share them.
 std::string snapshot() {
-  ExperimentConfig cfg = golden_config();
+  ExperimentConfig cfg = golden::golden_config();
   std::ostringstream os;
-  os << "# its_sim golden metrics — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./golden_test\n";
-  os << "# config: length_scale=0.02 footprint_scale=0.25 seed=42\n";
+  os << golden::kMetricsHeader;
   for (std::size_t bi = 0; bi < paper_batches().size(); ++bi) {
     const BatchSpec& batch = paper_batches()[bi];
     auto traces = batch_traces(batch, cfg.gen);
     for (PolicyKind k : kAllPolicies) {
       SimMetrics m = run_batch_policy(batch, k, cfg, traces);
-      emit_metrics(os,
-                   "batch" + std::to_string(bi) + "." +
-                       std::string(policy_name(k)),
-                   m);
+      golden::emit_metrics(os, bi, k, m);
     }
   }
   return os.str();

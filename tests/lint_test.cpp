@@ -1,6 +1,6 @@
 // Tests for tools/its_lint: every rule must fire exactly where the
 // fixtures under tests/lint_fixtures/ violate it, reasoned suppressions
-// must silence findings, and the cross-file registry rules must accept an
+// must silence findings, and the cross-file registry rule must accept an
 // in-sync mini-tree and flag a drifted one.
 //
 // ITS_LINT_FIXTURE_DIR is injected by tests/CMakeLists.txt.
@@ -223,7 +223,7 @@ TEST(LintSuppress, AllowOnlyCoversItsOwnRule) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry rules over the fixture mini-trees.
+// The registry rule over the fixture mini-trees.
 
 TEST(LintRegistry, CleanTreeHasNoFindings) {
   std::vector<std::string> errors;
@@ -240,11 +240,9 @@ TEST(LintRegistry, DriftedTreeFlagsEveryRegistryRule) {
       registry_inputs_for_root(fixture("registry_drift")), &errors);
   EXPECT_TRUE(errors.empty());
 
-  EXPECT_TRUE(has_finding(findings, Rule::kRegMetricsReport, "dropped_events"));
   EXPECT_TRUE(has_finding(findings, Rule::kRegConfigDoc, "hidden_knob"));
 
   // Nothing in-sync may be flagged.
-  EXPECT_FALSE(has_finding(findings, Rule::kRegMetricsReport, "major_faults"));
   EXPECT_FALSE(has_finding(findings, Rule::kRegConfigDoc, "'knob'"));
 }
 
@@ -314,19 +312,11 @@ TEST(LintGate, FixtureViolationsWouldFailTheSrcGate) {
 // ---------------------------------------------------------------------------
 // Architecture rules over the fixture mini-trees.
 
-std::vector<Finding> arch_scan(const std::string& tree,
-                               ModuleGraph* graph = nullptr,
-                               std::vector<std::string>* errors = nullptr) {
-  ModuleGraph local_graph;
-  std::vector<std::string> local_errors;
-  const bool own_errors = errors == nullptr;
-  if (graph == nullptr) graph = &local_graph;
-  if (own_errors) errors = &local_errors;
+std::vector<Finding> arch_scan(const std::string& tree) {
+  std::vector<std::string> errors;
   auto findings =
-      scan_architecture(arch_options_for_root(fixture(tree)), graph, errors);
-  if (own_errors) {
-    EXPECT_TRUE(local_errors.empty());
-  }
+      scan_architecture(arch_options_for_root(fixture(tree)), nullptr, &errors);
+  EXPECT_TRUE(errors.empty());
   return findings;
 }
 
@@ -437,16 +427,6 @@ TEST(LintArch, MissingPragmaOnceIsAGuardFinding) {
   EXPECT_EQ(findings[0].file, "src/a/a.h");
 }
 
-TEST(LintArch, DotOutputListsModulesAndEdges) {
-  ModuleGraph graph;
-  arch_scan("arch_clean", &graph);
-  std::ostringstream dot;
-  print_dot(dot, graph);
-  EXPECT_NE(dot.str().find("digraph its_modules"), std::string::npos);
-  EXPECT_NE(dot.str().find("\"a\";"), std::string::npos);
-  EXPECT_NE(dot.str().find("\"b\" -> \"a\";"), std::string::npos);
-}
-
 TEST(LintArch, ManifestRejectsForwardDeps) {
   // A dependency must be declared on an earlier line, so a cycle is
   // inexpressible in the manifest itself.
@@ -552,7 +532,6 @@ long json_int_field(const std::string& obj, const std::string& key) {
 TEST(LintJson, FixtureRunRoundTrips) {
   LintOptions opts;
   opts.root = fixture("arch_layer_violation");
-  opts.arch_only = true;
   LintResult r = run_lint(opts);
   ASSERT_EQ(r.findings.size(), 1u);
 
@@ -707,13 +686,13 @@ TEST(LintUnits, TypesHeaderItselfIsExempt) {
   EXPECT_TRUE(scan_units_files({f}).empty());
 }
 
-TEST(LintUnitsExitCodes, UnitsRulesArePinnedAt24Through29) {
-  EXPECT_EQ(exit_code_for(Rule::kUnitsMixedArith), 24);
-  EXPECT_EQ(exit_code_for(Rule::kUnitsAliasDecl), 25);
-  EXPECT_EQ(exit_code_for(Rule::kUnitsRawLiteral), 26);
-  EXPECT_EQ(exit_code_for(Rule::kUnitsNarrow), 27);
-  EXPECT_EQ(exit_code_for(Rule::kUnitsOverflow), 28);
-  EXPECT_EQ(exit_code_for(Rule::kUnitsShiftPage), 29);
+TEST(LintUnitsExitCodes, UnitsRulesArePinnedAt23Through28) {
+  EXPECT_EQ(exit_code_for(Rule::kUnitsMixedArith), 23);
+  EXPECT_EQ(exit_code_for(Rule::kUnitsAliasDecl), 24);
+  EXPECT_EQ(exit_code_for(Rule::kUnitsRawLiteral), 25);
+  EXPECT_EQ(exit_code_for(Rule::kUnitsNarrow), 26);
+  EXPECT_EQ(exit_code_for(Rule::kUnitsOverflow), 27);
+  EXPECT_EQ(exit_code_for(Rule::kUnitsShiftPage), 28);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 // Tests for the CSV report writer and the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/metrics.h"
 #include "core/report.h"
+#include "obs/run_totals.h"
 #include "util/args.h"
 
 namespace its {
@@ -31,6 +40,26 @@ core::BatchResult fake_result() {
   return r;
 }
 
+// The 41 columns of its_metrics.csv, in order.
+constexpr const char* kMetricsHeader =
+    "batch,policy,cpu_busy_ns,idle_total_ns,mem_stall_ns,busy_wait_ns,"
+    "ctx_switch_ns,no_runnable_ns,major_faults,minor_faults,llc_misses,"
+    "prefetch_issued,prefetch_useful,preexec_episodes,preexec_lines_warmed,"
+    "async_switches,evictions,stolen_ns,makespan_ns,top50_finish_ns,"
+    "bottom50_finish_ns,io_errors,io_retries,retry_exhausted,"
+    "deadline_aborts,mode_fallbacks,degraded_ns,file_reads,file_writes,"
+    "file_writebacks,page_cache_hits,page_cache_misses,"
+    "health_healthy_time_ns,health_degraded_time_ns,"
+    "health_offline_time_ns,health_recovering_time_ns,pool_stores,"
+    "pool_hits,pool_drains,drain_bytes,faults_served_degraded";
+
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream ls(line);
+  for (std::string f; std::getline(ls, f, ',');) fields.push_back(f);
+  return fields;
+}
+
 TEST(ReportCsv, MetricsHeaderAndRow) {
   auto r = fake_result();
   std::string csv = core::metrics_csv({&r, 1});
@@ -39,13 +68,44 @@ TEST(ReportCsv, MetricsHeaderAndRow) {
   ASSERT_TRUE(std::getline(is, header));
   ASSERT_TRUE(std::getline(is, row));
   EXPECT_FALSE(std::getline(is, extra));  // one policy → one row
-  EXPECT_NE(header.find("idle_total_ns"), std::string::npos);
+  EXPECT_EQ(header, kMetricsHeader);
+  EXPECT_EQ(split_csv(header).size(), 41u);
   EXPECT_NE(row.find("No_Data_Intensive,Sync,0,300,100,200"), std::string::npos);
-  // Same column count in header and row.
-  auto commas = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), ',');
-  };
-  EXPECT_EQ(commas(header), commas(row));
+  EXPECT_EQ(split_csv(row).size(), split_csv(header).size());
+}
+
+TEST(ReportCsv, MetricsRowPinsEveryCounterToItsColumn) {
+  // Counter word i (in obs::RunTotals declaration order) holds i + 1, so
+  // a dropped, duplicated or swapped column changes the row.  The size
+  // static_assert next to write_metrics_csv keeps the count at 36.
+  std::array<std::uint64_t, 36> words{};
+  std::iota(words.begin(), words.end(), std::uint64_t{1});
+  core::BatchResult r;
+  r.spec = &core::paper_batches()[0];
+  core::SimMetrics m;
+  static_cast<obs::RunTotals&>(m) = std::bit_cast<obs::RunTotals>(words);
+  ASSERT_EQ(m.idle.mem_stall, 1u);
+  ASSERT_EQ(m.faults_served_degraded, 36u);
+  const obs::IdleBreakdown& idle = m.idle;
+  EXPECT_EQ(idle.total(), 1u + 2u + 3u + 4u);
+  r.by_policy.emplace(core::PolicyKind::kSync, m);
+
+  std::ostringstream os;
+  core::write_metrics_csv(os, {&r, 1});
+  std::istringstream is(os.str());
+  std::string header, row;
+  ASSERT_TRUE(std::getline(is, header));
+  ASSERT_TRUE(std::getline(is, row));
+  // idle_total is 10; the finish-time means are 0 without processes.
+  EXPECT_EQ(row,
+            "No_Data_Intensive,Sync,6,10,1,2,3,4,7,8,9,15,16,17,18,19,20,21,"
+            "5,0,0,22,23,24,25,26,27,10,11,14,12,13,28,29,30,31,32,33,34,35,"
+            "36");
+  const std::vector<std::string> fields = split_csv(row);
+  for (std::uint64_t v = 1; v <= 36; ++v)
+    EXPECT_NE(std::find(fields.begin(), fields.end(), std::to_string(v)),
+              fields.end())
+        << "counter value " << v << " missing from the row";
 }
 
 TEST(ReportCsv, ProcessesRows) {

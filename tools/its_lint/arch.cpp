@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -487,16 +486,6 @@ ArchOptions arch_options_for_root(const std::string& root) {
     if (fs::is_directory(p, ec)) o.usage_dirs.push_back(p.generic_string());
   }
   return o;
-}
-
-void print_dot(std::ostream& os, const ModuleGraph& g) {
-  os << "// Module dependency graph, generated by `its_lint --dot`.\n"
-     << "// Do not edit: CI diffs this file against a fresh run.\n"
-     << "digraph its_modules {\n  rankdir=BT;\n  node [shape=box];\n";
-  for (const std::string& m : g.modules) os << "  \"" << m << "\";\n";
-  for (const ModuleGraph::Edge& e : g.edges)
-    os << "  \"" << e.from << "\" -> \"" << e.to << "\";\n";
-  os << "}\n";
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -68,62 +66,29 @@ LintResult run_lint(const LintOptions& opts) {
     roots.push_back(
         (std::filesystem::path(opts.root) / "src").generic_string());
 
-  if (!opts.arch_only && !opts.units_only) {
-    for (const std::string& path : collect_files(roots, &r.errors)) {
-      SourceFile f;
-      std::string err;
-      if (!SourceFile::load(path, &f, &err)) {
-        r.errors.push_back(err);
-        continue;
-      }
-      std::vector<Finding> fs = lint_file(f);
-      r.findings.insert(r.findings.end(),
-                        std::make_move_iterator(fs.begin()),
-                        std::make_move_iterator(fs.end()));
-    }
+  auto append = [&](std::vector<Finding> fs) {
+    r.findings.insert(r.findings.end(), std::make_move_iterator(fs.begin()),
+                      std::make_move_iterator(fs.end()));
+  };
 
-    if (opts.registry) {
-      std::vector<Finding> reg =
-          scan_registry(registry_inputs_for_root(opts.root), &r.errors);
-      r.findings.insert(r.findings.end(),
-                        std::make_move_iterator(reg.begin()),
-                        std::make_move_iterator(reg.end()));
+  for (const std::string& path : collect_files(roots, &r.errors)) {
+    SourceFile f;
+    std::string err;
+    if (!SourceFile::load(path, &f, &err)) {
+      r.errors.push_back(err);
+      continue;
     }
+    append(lint_file(f));
   }
+  append(scan_registry(registry_inputs_for_root(opts.root), &r.errors));
 
-  // The architecture pass is whole-program: it runs on full-tree scans
-  // (and under --arch-only / --dot), never for explicit file lists.
-  const bool want_dot = !opts.dot_path.empty();
-  if (!opts.units_only &&
-      ((opts.arch && default_scan) || opts.arch_only || want_dot)) {
-    ModuleGraph graph;
-    std::vector<Finding> arch = scan_architecture(
-        arch_options_for_root(opts.root), &graph, &r.errors);
-    r.findings.insert(r.findings.end(),
-                      std::make_move_iterator(arch.begin()),
-                      std::make_move_iterator(arch.end()));
-    if (want_dot) {
-      if (opts.dot_path == "-") {
-        print_dot(std::cout, graph);
-      } else {
-        std::ofstream dot(opts.dot_path);
-        if (!dot)
-          r.errors.push_back("cannot write " + opts.dot_path);
-        else
-          print_dot(dot, graph);
-      }
-    }
-  }
-
-  // The units pass is whole-program as well: dimension maps span every
-  // file, so it runs on full-tree scans (and --units-only) only.
-  if (!opts.arch_only &&
-      ((opts.units && default_scan) || opts.units_only)) {
-    std::vector<Finding> units =
-        scan_units(units_options_for_root(opts.root), &r.errors);
-    r.findings.insert(r.findings.end(),
-                      std::make_move_iterator(units.begin()),
-                      std::make_move_iterator(units.end()));
+  // The architecture and units passes are whole-program (the module graph
+  // and the dimension maps span every file), so they run on full-tree
+  // scans only, never for explicit file lists.
+  if (default_scan) {
+    append(scan_architecture(arch_options_for_root(opts.root), nullptr,
+                             &r.errors));
+    append(scan_units(units_options_for_root(opts.root), &r.errors));
   }
 
   sort_findings(&r.findings);

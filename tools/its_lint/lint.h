@@ -9,12 +9,14 @@
 //      hash-order iteration feeding the trace/metrics path.  These do not
 //      fail a test on the machine that introduced them; they fail weeks
 //      later on someone else's libstdc++.
-//   2. *Registry drift* — the hand-maintained lists that must stay in
-//      sync with `SimMetrics` (the CSV report) and with `SimConfig` (the
-//      docs).  A forgotten entry corrupts accounting or documentation
-//      without tripping any runtime check.  (Event kinds need no rule:
-//      each is one row of ITS_EVENT_KINDS in src/obs/event_trace.h, which
-//      generates the enum, its names and its exporter/checker metadata.)
+//   2. *Registry drift* — the hand-maintained list that must stay in sync
+//      with `SimConfig` (the docs).  A forgotten entry leaves a knob
+//      without a written contract and trips no runtime check.  (Event
+//      kinds need no rule: each is one row of ITS_EVENT_KINDS in
+//      src/obs/event_trace.h, which generates the enum, its names and its
+//      exporter/checker metadata.  Nor do the run's counters: the CSV
+//      writer static_asserts the size of obs::RunTotals, and
+//      tests/report_args_test.cpp pins the row column by column.)
 //
 // This tool scans `src/` at lint time (ctest label `lint`, CI job `lint`)
 // with a small comment/string-stripping tokenizer and flags both classes.
@@ -43,7 +45,6 @@ enum class Rule : std::size_t {
   kDetUnorderedIter,  ///< Hash-order iteration in event/metrics files.
   kDetPtrKey,         ///< Pointer-keyed ordered containers.
   kDetDoubleNs,       ///< double accumulation of nanosecond quantities.
-  kRegMetricsReport,  ///< SimMetrics counter missing from report.cpp.
   kRegConfigDoc,      ///< SimConfig field undocumented in docs//README.
   kBadSuppress,       ///< Malformed/unreasoned its-lint: allow(...).
   kArchLayer,         ///< Module edge absent from docs/architecture.layers.
@@ -120,12 +121,10 @@ bool contains_word(std::string_view line, std::string_view word);
 std::vector<Finding> scan_determinism(const SourceFile& f);
 
 // ---------------------------------------------------------------------------
-// Registry rules (cross-file).
+// Registry rule (cross-file).
 
-/// The files the registry rules read, resolved relative to --root.
+/// The files the registry rule reads, resolved relative to --root.
 struct RegistryInputs {
-  std::string metrics_h;           ///< src/core/metrics.h
-  std::string report_cpp;          ///< src/core/report.cpp
   std::string config_h;            ///< src/core/config.h
   std::vector<std::string> docs;   ///< README.md + docs/*.md
 };
@@ -190,13 +189,10 @@ bool parse_manifest(const SourceFile& f, std::vector<ManifestRow>* rows,
 /// (transitive-include reliance), unused project includes, missing
 /// #pragma once, and dead public API.  Suppressions are applied
 /// internally (the pass owns the file loading); `graph` receives the
-/// module graph for --dot when non-null.
+/// module graph when non-null.
 std::vector<Finding> scan_architecture(const ArchOptions& opts,
                                        ModuleGraph* graph,
                                        std::vector<std::string>* errors);
-
-/// Graphviz rendering of the module graph (stable, sorted output).
-void print_dot(std::ostream& os, const ModuleGraph& g);
 
 // ---------------------------------------------------------------------------
 // Units rules (whole-program).
@@ -232,13 +228,7 @@ std::vector<Finding> scan_units_files(const std::vector<SourceFile>& files);
 struct LintOptions {
   std::string root = ".";       ///< Repo root (registry files live below).
   std::vector<std::string> paths;  ///< Files/dirs to scan; default {root}/src.
-  bool registry = true;         ///< Run the cross-file rules.
-  bool arch = true;             ///< Run the architecture rules.
-  bool arch_only = false;       ///< Run ONLY the architecture rules.
-  bool units = true;            ///< Run the units rules.
-  bool units_only = false;      ///< Run ONLY the units rules.
   bool json = false;            ///< Machine-readable output.
-  std::string dot_path;         ///< Write the module graph here ("-": stdout).
 };
 
 struct LintResult {
@@ -257,7 +247,8 @@ std::vector<Finding> apply_suppressions(const SourceFile& f,
 /// Scans one already-loaded file (determinism rules + suppressions).
 std::vector<Finding> lint_file(const SourceFile& f);
 
-/// Full run: collect files, per-file rules, registry rules.
+/// Full run: collect files, per-file rules, the registry rule, and on
+/// full-tree scans the architecture and units passes.
 LintResult run_lint(const LintOptions& opts);
 
 /// Human-readable report (one finding per line, gcc-style).

@@ -1,16 +1,11 @@
 // its_lint command-line driver.
 //
-//   its_lint [--root DIR] [--json] [--no-registry] [--no-arch]
-//            [--no-units] [--arch-only] [--units-only] [--dot PATH]
-//            [--list-rules] [paths...]
+//   its_lint [--root DIR] [--json] [--list-rules] [paths...]
 //
 // With no paths, scans <root>/src with every rule.  Explicit paths run the
 // per-file determinism rules on exactly those files/directories (the
-// registry rules still resolve against --root unless --no-registry; the
-// whole-program architecture and units passes only run on full-tree
-// scans).  --arch-only / --units-only restrict a run to one whole-program
-// family; --dot writes the module dependency graph as Graphviz to PATH
-// ("-" for stdout).
+// registry rule still resolves against --root; the whole-program
+// architecture and units passes only run on full-tree scans).
 //
 // Exit codes: 0 clean, 1 usage/IO error, 10+N when rule N fired.  When
 // several distinct rules fire, the exit code is the LOWEST firing rule's
@@ -39,9 +34,8 @@ int list_rules() {
 
 int usage(std::string_view msg) {
   std::cerr << "its_lint: " << msg << "\n"
-            << "usage: its_lint [--root DIR] [--json] [--no-registry] "
-               "[--no-arch] [--no-units] [--arch-only] [--units-only] "
-               "[--dot PATH] [--list-rules] [paths...]\n";
+            << "usage: its_lint [--root DIR] [--json] [--list-rules] "
+               "[paths...]\n";
   return its::lint::kExitUsage;
 }
 
@@ -53,19 +47,6 @@ int main(int argc, char** argv) {
     std::string_view arg = argv[i];
     if (arg == "--json") {
       opts.json = true;
-    } else if (arg == "--no-registry") {
-      opts.registry = false;
-    } else if (arg == "--no-arch") {
-      opts.arch = false;
-    } else if (arg == "--no-units") {
-      opts.units = false;
-    } else if (arg == "--arch-only") {
-      opts.arch_only = true;
-    } else if (arg == "--units-only") {
-      opts.units_only = true;
-    } else if (arg == "--dot") {
-      if (i + 1 >= argc) return usage("--dot needs a path ('-' for stdout)");
-      opts.dot_path = argv[++i];
     } else if (arg == "--list-rules") {
       return list_rules();
     } else if (arg == "--root") {
@@ -77,13 +58,6 @@ int main(int argc, char** argv) {
       opts.paths.emplace_back(arg);
     }
   }
-  if (opts.arch_only && !opts.arch)
-    return usage("--arch-only and --no-arch are mutually exclusive");
-  if (opts.units_only && !opts.units)
-    return usage("--units-only and --no-units are mutually exclusive");
-  if (opts.units_only && opts.arch_only)
-    return usage("--arch-only and --units-only are mutually exclusive");
-
   its::lint::LintResult r = its::lint::run_lint(opts);
   if (opts.json)
     its::lint::print_json(std::cout, r);

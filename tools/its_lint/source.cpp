@@ -32,8 +32,6 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"det-double-ns",
      "double-precision accumulation of nanosecond quantities outside "
      "src/util/stats.* (silent rounding corrupts accounting)"},
-    {"reg-metrics-report",
-     "SimMetrics counter missing from report.cpp"},
     {"reg-config-doc",
      "SimConfig field not mentioned in docs/ or README.md"},
     {"lint-bad-suppress",
