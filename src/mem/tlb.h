@@ -29,8 +29,9 @@ class Tlb {
   explicit Tlb(unsigned entries = 64);
 
   /// Translates `vpn`: true on a hit (and refreshes LRU); on a miss, counts
-  /// it and installs the translation the page walk produces.  One scan of
-  /// the entries on a hit, one plus the victim scan on a miss.
+  /// it and installs the translation the page walk produces.  One
+  /// fingerprint scan of the entries (eight per word) either way; the
+  /// victim is the recency list's tail, found in O(1).
   bool access(its::Vpn vpn);
 
   /// Looks up a translation for `vpn`; true on hit (and refreshes LRU).

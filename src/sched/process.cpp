@@ -8,7 +8,13 @@
 namespace its::sched {
 
 namespace {
-std::vector<its::Vpn> footprint_of(const trace::Trace& t) { return t.touched_pages(); }
+/// The trace's pages, checked before the first dereference: the memory
+/// descriptor is built from them in the member initialisers.
+std::vector<its::Vpn> footprint_of(const trace::Trace* t) {
+  if (t == nullptr || t->empty())
+    throw std::invalid_argument("Process: trace must be non-empty");
+  return t->touched_pages();
+}
 }  // namespace
 
 Process::Process(its::Pid pid, std::string name, int priority,
@@ -17,9 +23,6 @@ Process::Process(its::Pid pid, std::string name, int priority,
       name_(std::move(name)),
       priority_(priority),
       trace_(std::move(trace)),
-      mm_(pid, footprint_of(*trace_)) {
-  if (!trace_ || trace_->empty())
-    throw std::invalid_argument("Process: trace must be non-empty");
-}
+      mm_(pid, footprint_of(trace_.get())) {}
 
 }  // namespace its::sched

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iterator>
@@ -104,6 +105,14 @@ class RefCache {
     for (const std::list<std::uint64_t>& s : sets_) n += s.size();
     return n;
   }
+  /// A line of `a`'s set that is neither its most nor its least recent.
+  std::optional<std::uint64_t> middle_line(PhysAddr a, util::Rng& rng) {
+    const std::list<std::uint64_t>& s = set_of(a / line_);
+    if (s.size() < 3) return std::nullopt;
+    const auto pos = static_cast<std::ptrdiff_t>(1 + rng.below(s.size() - 2));
+    return *std::next(s.begin(), pos);
+  }
+  std::uint64_t sets() const { return sets_.size(); }
 
   CacheStats stats;
   bool evicted = false;
@@ -231,9 +240,24 @@ TEST_P(SetAssocCacheDiff, MatchesListModel) {
         const Bytes len = word * rng.below(3) + cfg.line_size * rng.below(3);
         c.invalidate_range(a, len);
         ref.invalidate_range(a, len);
-      } else {
+      } else if (op < 94) {
         const PhysAddr a = gen.next();
         m.eq(at("probe", a), c.probe(a), ref.probe(a));
+      } else {
+        // Drop a line from the middle of its set's LRU order, then miss
+        // into that set while valid ways remain: the freed way must take
+        // the new lines before any valid one is evicted.
+        const PhysAddr a = gen.next();
+        if (const std::optional<std::uint64_t> l = ref.middle_line(a, rng)) {
+          c.invalidate_range(*l * cfg.line_size, cfg.line_size);
+          ref.invalidate_range(*l * cfg.line_size, cfg.line_size);
+          for (std::uint64_t i = 0, n = 1 + rng.below(2); i < n; ++i) {
+            // Beyond the page universe, so almost always a miss.
+            const PhysAddr b =
+                (*l + ref.sets() * (4096 + rng.below(64))) * cfg.line_size;
+            m.eq(at("access", b), c.access(b), ref.access(b));
+          }
+        }
       }
       same_stats(m, "cache", c.stats(), ref.stats);
       m.eq("lines_resident", c.lines_resident(), ref.lines_resident());
@@ -376,6 +400,7 @@ class RefTlb {
     lru_.push_front(k);
   }
   void invalidate(Vpn k) { lru_.remove(k); }
+  const std::list<Vpn>& keys() const { return lru_; }
   void flush() {
     lru_.clear();
     ++stats.flushes;
@@ -420,12 +445,25 @@ TEST_P(TlbDiff, MatchesListModel) {
       } else if (op < 85) {
         tlb.insert(k);
         ref.insert(k);
-      } else if (op < 98) {
+      } else if (op < 96) {
         tlb.invalidate(k);
         ref.invalidate(k);
-      } else {
+      } else if (op < 98) {
         tlb.flush();
         ref.flush();
+      } else {
+        // Flush, then reinstall half of what was resident: the empty ways
+        // still hold the tags of the other half, which must all miss.
+        const std::vector<Vpn> before(ref.keys().begin(), ref.keys().end());
+        tlb.flush();
+        ref.flush();
+        for (Vpn v : before)
+          if (rng.chance(0.5)) {
+            tlb.insert(v);
+            ref.insert(v);
+          }
+        for (Vpn v : before)
+          m.eq(at("lookup", v), tlb.lookup(v), ref.lookup(v));
       }
       m.eq("hits", tlb.stats().hits, ref.stats.hits);
       m.eq("misses", tlb.stats().misses, ref.stats.misses);

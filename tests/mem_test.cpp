@@ -5,8 +5,14 @@
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/preexec_cache.h"
+#include "mem/set_assoc.h"
 #include "mem/tlb.h"
 #include "util/types.h"
+
+#include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 namespace its::mem {
 namespace {
@@ -57,6 +63,34 @@ TEST(SetAssocCache, RejectsBadGeometry) {
   // A line above a page, then 3 sets.
   EXPECT_THROW(SetAssocCache({1 << 20, 8, 8192, 1}), std::invalid_argument);
   EXPECT_THROW(SetAssocCache({384, 2, 64, 1}), std::invalid_argument);
+  // One set of more ways than the engine's 16-bit links can index.
+  EXPECT_THROW(SetAssocCache({65536 * 64, 65536, 64, 1}),
+               std::invalid_argument);
+}
+
+TEST(SetAssoc, RejectsWayCountOutsideLinkRange) {
+  for (unsigned ways : {0u, SetAssoc<NoPayload>::kMaxWays + 1}) {
+    try {
+      SetAssoc<NoPayload> s(1, ways, "engine");
+      ADD_FAILURE() << ways << " ways accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("engine"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::to_string(ways)), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(SetAssoc, LargestWayCountKeepsLruOrder) {
+  constexpr unsigned kWays = SetAssoc<NoPayload>::kMaxWays;
+  SetAssoc<NoPayload> s(1, kWays, "engine");
+  for (std::uint64_t k = 0; k < kWays; ++k)
+    EXPECT_FALSE(s.insert(k).evicted.has_value());
+  s.touch(s.find(0));
+  EXPECT_EQ(s.insert(kWays).evicted, std::optional<std::uint64_t>{1});
+  EXPECT_EQ(s.resident(), kWays);
+  EXPECT_NE(s.find(0), kNoSlot);
+  EXPECT_EQ(s.find(1), kNoSlot);
 }
 
 TEST(SetAssocCache, ProbeHasNoSideEffects) {

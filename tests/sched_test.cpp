@@ -34,6 +34,11 @@ TEST(Process, RejectsEmptyTrace) {
   EXPECT_THROW(Process(1, "x", 1, empty), std::invalid_argument);
 }
 
+TEST(Process, RejectsNullTrace) {
+  // The trace is checked before the memory descriptor reads its pages.
+  EXPECT_THROW(Process(1, "x", 0, nullptr), std::invalid_argument);
+}
+
 TEST(Process, PcAdvancesToEnd) {
   Process p(1, "t", 10, tiny_trace());
   p.advance_pc();
